@@ -123,20 +123,21 @@ echo "== Concurrency suites under ThreadSanitizer =="
 # work stealing, lane-exclusive per-stream state hand-off) lives or
 # dies on happens-before edges that asan/ubsan cannot see. Build a
 # dedicated tsan tree (tsan is incompatible with asan) and run the
-# queue/pool primitives plus every service and net suite that drives
-# concurrent dispatchers, so a data race in the steal protocol fails
-# the run loudly.
+# queue/pool primitives, the parallel BD encode (chunks write one
+# shared output buffer and meet at seam bytes), plus every service and
+# net suite that drives concurrent dispatchers, so a data race in the
+# steal protocol or at a chunk seam fails the run loudly.
 cmake -B build-tsan -S . -DFOVE_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"$JOBS" --target \
     common_test_sharded_queue common_test_thread_pool \
-    common_test_bounded_queue \
+    common_test_bounded_queue bd_test_bd_parallel \
     service_test_sharded_service service_test_encode_service \
     service_test_gaze_service service_test_collect_timeout \
     service_test_fault_service \
     net_test_delivery net_test_delivery_sharded \
     obs_test_trace obs_test_metrics obs_test_frame_trace
 for suite in common_test_sharded_queue common_test_thread_pool \
-             common_test_bounded_queue \
+             common_test_bounded_queue bd_test_bd_parallel \
              service_test_sharded_service service_test_encode_service \
              service_test_gaze_service service_test_collect_timeout \
              service_test_fault_service \

@@ -1,7 +1,9 @@
 #include "bd/bd_codec.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/bitstream.hh"
@@ -25,6 +27,27 @@ static_assert(kMagicBits + 2 * kDimBits + kTileBits ==
                   kBdStreamHeaderBits,
               "header constant out of sync with the field widths");
 
+/** Store @p word as 8 big-endian bytes at @p p (any alignment). */
+void
+storeBigEndian64(std::uint8_t *p, std::uint64_t word)
+{
+    if constexpr (std::endian::native == std::endian::little)
+        word = __builtin_bswap64(word);
+    std::memcpy(p, &word, sizeof word);
+}
+
+/** Store the 8-byte header (fields as in the file comment). */
+void
+storeStreamHeader(std::uint8_t *out8, int width, int height,
+                  int tile_size)
+{
+    storeBigEndian64(
+        out8, (std::uint64_t(kMagic) << (2 * kDimBits + kTileBits)) |
+                  (std::uint64_t(width & 0xFFFF) << (kDimBits + kTileBits)) |
+                  (std::uint64_t(height & 0xFFFF) << kTileBits) |
+                  std::uint64_t(tile_size & 0xFF));
+}
+
 } // namespace
 
 void
@@ -37,14 +60,7 @@ bdWriteStreamHeader(std::uint8_t *out8, int width, int height,
     if (tile_size < 1 || tile_size > 255)
         throw std::invalid_argument(
             "bdWriteStreamHeader: tile size out of range");
-    BitWriter bw;
-    bw.putBits(kMagic, kMagicBits);
-    bw.putBits(static_cast<uint32_t>(width), kDimBits);
-    bw.putBits(static_cast<uint32_t>(height), kDimBits);
-    bw.putBits(static_cast<uint32_t>(tile_size), kTileBits);
-    bw.alignToByte();
-    const std::vector<uint8_t> bytes = bw.take();
-    std::copy(bytes.begin(), bytes.end(), out8);
+    storeStreamHeader(out8, width, height, tile_size);
 }
 
 unsigned
@@ -116,36 +132,83 @@ BdCodec::encode(const ImageU8 &img, BdFrameStats *stats_out) const
 namespace {
 
 /**
- * Emit the bitstream of tiles [begin, end) into @p bw from the
- * precomputed per-tile-channel base/width stats. The emission order is
- * exactly the serial encoder's, so concatenating ranges in tile order
- * reproduces its stream bit for bit.
+ * MSB-first writer of one chunk's bits straight into the final stream.
+ * Bits gather in a 64-bit accumulator that is stored as a big-endian
+ * word each time it fills. A chunk that starts mid-byte pre-counts the
+ * leading bits as zeros: it stores its first byte with only its own
+ * low bits set, and the previous chunk's tail is ORed in afterwards.
  */
-void
+class ChunkWriter
+{
+  public:
+    ChunkWriter(std::uint8_t *stream, std::size_t bit_pos)
+        : p_(stream + bit_pos / 8), n_(static_cast<unsigned>(bit_pos % 8))
+    {}
+
+    /** Append @p width (1..32) bits of @p value (< 2^width). */
+    void put(std::uint32_t value, unsigned width)
+    {
+        const unsigned free = 64 - n_;
+        if (width < free) {
+            acc_ |= std::uint64_t(value) << (free - width);
+            n_ += width;
+            return;
+        }
+        n_ = width - free;
+        storeBigEndian64(p_, acc_ | (std::uint64_t(value) >> n_));
+        p_ += 8;
+        acc_ = n_ == 0 ? 0 : std::uint64_t(value) << (64 - n_);
+    }
+
+    /** Store the remaining whole bytes; return the partial last one. */
+    std::uint8_t finish()
+    {
+        for (unsigned i = 0; i < n_ / 8; ++i)
+            p_[i] = static_cast<std::uint8_t>(acc_ >> (56 - 8 * i));
+        return n_ % 8 == 0
+                   ? 0
+                   : static_cast<std::uint8_t>(acc_ >> (56 - n_ / 8 * 8));
+    }
+
+  private:
+    std::uint8_t *p_;
+    std::uint64_t acc_ = 0;
+    unsigned n_;
+};
+
+/**
+ * Emit the bitstream of tiles [begin, end) from the precomputed
+ * per-tile-channel base/width stats into @p stream at @p bit_pos, and
+ * return the final partial byte (see ChunkWriter::finish). The
+ * emission order is exactly the serial encoder's, so ranges emitted at
+ * their prefix offsets reproduce its stream bit for bit. The writer is
+ * local so the compiler can keep it in registers across byte stores.
+ */
+std::uint8_t
 emitTileRange(const ImageU8 &img, const std::vector<TileRect> &tiles,
               const std::vector<uint8_t> &base,
               const std::vector<uint8_t> &width, std::size_t begin,
-              std::size_t end, BitWriter &bw)
+              std::size_t end, std::uint8_t *stream, std::size_t bit_pos)
 {
+    ChunkWriter cw(stream, bit_pos);
     for (std::size_t t = begin; t < end; ++t) {
-        const TileRect &rect = tiles[t];
+        // A copy: stores through the byte pointer could alias a
+        // reference, forcing the loop bounds to reload per delta.
+        const TileRect rect = tiles[t];
         for (int c = 0; c < 3; ++c) {
             const uint8_t lo = base[3 * t + c];
             const unsigned w = width[3 * t + c];
-            bw.putBits(w, kWidthFieldBits);
-            bw.putBits(lo, kBaseBits);
+            cw.put((w << kBaseBits) | lo, kWidthFieldBits + kBaseBits);
             if (w == 0)
                 continue;
             for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                for (int x = rect.x0; x < rect.x0 + rect.w; ++x) {
-                    const unsigned delta =
-                        static_cast<unsigned>(img.channel(x, y, c)) -
-                        lo;
-                    bw.putBits(delta, w);
-                }
+                const uint8_t *row = img.pixel(rect.x0, y) + c;
+                for (int x = 0; x < rect.w; ++x)
+                    cw.put(row[3 * x] - lo, w);
             }
         }
     }
+    return cw.finish();
 }
 
 } // namespace
@@ -228,50 +291,48 @@ BdCodec::encodeInto(const ImageU8 &img, BdFrameStats *stats_out,
     stats.metaBits = n_tiles * 3 * kWidthFieldBits;
     stats.baseBits = n_tiles * 3 * kBaseBits;
 
-    // Pass 3: emission. The writer adopts (and returns) the caller's
-    // buffer and reserves the exact final size up front.
+    // Pass 3: emission straight into the caller's buffer. Each chunk
+    // of contiguous tiles starts at its prefix offset and stores every
+    // byte it owns: all bytes from the one holding its first bit up to
+    // (not including) the one holding its last partial byte. That
+    // partial byte comes back as a tail and is ORed into the next
+    // chunk's first byte after the barrier, so no two threads write
+    // one byte, and every byte of @p out is stored or assigned (stale
+    // bytes of a reused buffer cannot leak). More chunks than slots so
+    // the dynamic scheduler can rebalance around cheap (flat/foveal)
+    // runs; the serial path is the same code with one chunk.
     obs::TraceSpan emitSpan("bd/emit");
-    BitWriter bw;
-    bw.reset(std::move(out));
-    bw.reserve(stats.headerBits + payload_bits + 7);
-    bw.putBits(kMagic, kMagicBits);
-    bw.putBits(static_cast<uint32_t>(img.width()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(img.height()), kDimBits);
-    bw.putBits(static_cast<uint32_t>(tileSize_), kTileBits);
-
-    if (!parallel) {
-        emitTileRange(img, tiles, s.base, s.width, 0, n_tiles, bw);
-    } else {
-        // Contiguous tile chunks, emitted into independent writers and
-        // spliced in order. More chunks than slots so the dynamic
-        // scheduler can rebalance around cheap (flat/foveal) runs.
-        const std::size_t n_chunks = std::min<std::size_t>(
-            n_tiles, static_cast<std::size_t>(participants) * 4);
-        s.chunks.resize(n_chunks);
-        pool->parallelFor(
-            n_chunks, 1, participants,
-            [&](std::size_t begin, std::size_t end, int) {
-                for (std::size_t k = begin; k < end; ++k) {
-                    const std::size_t t0 = n_tiles * k / n_chunks;
-                    const std::size_t t1 =
-                        n_tiles * (k + 1) / n_chunks;
-                    BitWriter &cw = s.chunks[k];
-                    cw.clear();
-                    cw.reserve(s.bitOffsets[t1] - s.bitOffsets[t0]);
-                    emitTileRange(img, tiles, s.base, s.width, t0, t1,
-                                  cw);
-                }
-            });
-        for (std::size_t k = 0; k < n_chunks; ++k)
-            bw.appendBits(s.chunks[k].bytes().data(),
-                          s.chunks[k].bitCount());
-    }
-
-    bw.alignToByte();
+    const std::size_t total_bits = stats.headerBits + payload_bits;
+    out.resize((total_bits + 7) / 8);
+    out.back() = 0;  // the final partial byte, which no chunk stores
+    storeStreamHeader(out.data(), img.width(), img.height(), tileSize_);
+    const std::size_t n_chunks = std::min<std::size_t>(
+        n_tiles, parallel ? static_cast<std::size_t>(participants) * 4
+                          : 1);
+    s.tails.resize(n_chunks);
+    auto chunkBegin = [&](std::size_t k) {
+        return stats.headerBits + s.bitOffsets[n_tiles * k / n_chunks];
+    };
+    auto emitChunks = [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t k = begin; k < end; ++k) {
+            s.tails[k] = emitTileRange(
+                img, tiles, s.base, s.width, n_tiles * k / n_chunks,
+                n_tiles * (k + 1) / n_chunks, out.data(), chunkBegin(k));
+        }
+    };
+    if (parallel)
+        pool->parallelFor(n_chunks, 1, participants, emitChunks);
+    else
+        emitChunks(0, n_chunks, 0);
+    // A tail is nonzero only when its chunk ends mid-byte. Every tile
+    // record is at least 36 bits, so that byte is the next chunk's
+    // first byte (or the stream's last), never the chunk's own first.
+    for (std::size_t k = 0; k < n_chunks; ++k)
+        if (s.tails[k] != 0)
+            out[chunkBegin(k + 1) / 8] |= s.tails[k];
     emitSpan.end();
     if (stats_out)
         *stats_out = stats;
-    out = bw.take();
 }
 
 ImageU8

@@ -47,7 +47,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/bitstream.hh"
 #include "image/image.hh"
 
 namespace pce {
@@ -139,7 +138,7 @@ struct BdFrameStats
  * Reusable working storage of BdCodec::encodeInto. A caller that keeps
  * one scratch across a stream of frames (EncodedFrame owns one) makes
  * the encode allocation-free in the steady state: the tile grid, the
- * per-tile stats, the prefix offsets, and the per-chunk bit buffers all
+ * per-tile stats, the prefix offsets, and the per-chunk tail bytes all
  * grow once and are reused.
  */
 struct BdEncodeScratch
@@ -155,8 +154,8 @@ struct BdEncodeScratch
     std::vector<uint8_t> width;
     /** Exclusive prefix of per-tile payload bits (tiles + 1 entries). */
     std::vector<std::size_t> bitOffsets;
-    /** Independent per-chunk emitters of the parallel encode. */
-    std::vector<BitWriter> chunks;
+    /** Final partial byte of each emit chunk, merged after the barrier. */
+    std::vector<uint8_t> tails;
 };
 
 /**
@@ -217,14 +216,15 @@ class BdCodec
      *
      * Three passes: (1) per-tile-channel min/width stats, parallel over
      * tiles; (2) a serial prefix pass turning the stats into exact
-     * per-tile bit offsets (and the frame's total size, reserved up
-     * front); (3) emission — tiles are split into contiguous chunks,
-     * workers emit each chunk's bitstream into an independent
-     * exactly-reserved BitWriter, and a splice pass concatenates them
-     * in tile order. The output is byte-identical to the serial
-     * encoder for any thread count and any chunking (the spliced
-     * stream is the per-tile streams in tile order either way; tests
-     * sweep thread counts and assert equality).
+     * per-tile bit offsets and the frame's total size; (3) emission —
+     * @p out is sized once, tiles are split into contiguous chunks, and
+     * each chunk writes straight into @p out from its prefix offset
+     * through a 64-bit accumulator. A chunk stores every byte it owns
+     * and hands back only its final partial byte, which a serial pass
+     * ORs into the next chunk's first byte after the barrier. The
+     * output is byte-identical to the serial encoder (the same code
+     * with one chunk) for any thread count and any chunking; tests
+     * sweep thread counts and every seam bit phase.
      *
      * @param out Overwritten with the stream; its capacity is reused.
      * @param scratch Optional reusable working storage (see

@@ -88,8 +88,7 @@ BdVariableCodec::encode(const ImageU8 &img) const
     // One upfront worst-case reserve (every channel in 8-bit uniform
     // mode) so putBits never grows mid-stream — a per-channel exact
     // reserve would defeat the vector's geometric growth and go
-    // quadratic (same audit as the parallel BD tile emitters, which
-    // know their chunk sizes exactly from the prefix pass).
+    // quadratic.
     bw.reserve(kMagicBits + 2 * kDimBits + kTileBits +
                tiles.size() * 3 * (1 + kWidthFieldBits + kBaseBits) +
                img.pixelCount() * 3 * 8);

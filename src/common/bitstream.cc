@@ -31,38 +31,6 @@ BitWriter::putBits(uint32_t value, unsigned width)
 }
 
 void
-BitWriter::appendBits(const uint8_t *bytes, std::size_t bit_count)
-{
-    if (bit_count == 0)
-        return;
-    const std::size_t total_bytes = (bit_count + 7) / 8;
-    const unsigned shift = static_cast<unsigned>(bitCount_ % 8);
-    if (shift == 0) {
-        // Byte-aligned destination: bulk-copy the whole source.
-        bytes_.resize(bitCount_ / 8);  // drop the (empty) tail slot
-        bytes_.insert(bytes_.end(), bytes, bytes + total_bytes);
-        bitCount_ += bit_count;
-        return;
-    }
-    // Unaligned seam: each source byte splits across two destination
-    // bytes with one shift each — this splice is the serial section of
-    // the parallel BD encode, so it must stay near memcpy speed. Both
-    // the destination tail byte and any source bits beyond bit_count
-    // are zero (putBits/resize invariants), so plain ORs compose.
-    const std::size_t end_bits = bitCount_ + bit_count;
-    bytes_.resize((end_bits + 7) / 8, 0);
-    std::size_t idx = bitCount_ / 8;
-    for (std::size_t i = 0; i < total_bytes; ++i) {
-        const uint8_t b = bytes[i];
-        bytes_[idx + i] |= static_cast<uint8_t>(b >> shift);
-        if (idx + i + 1 < bytes_.size())
-            bytes_[idx + i + 1] |=
-                static_cast<uint8_t>(b << (8 - shift));
-    }
-    bitCount_ = end_bits;
-}
-
-void
 BitWriter::alignToByte()
 {
     while (bitCount_ % 8 != 0)

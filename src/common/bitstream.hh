@@ -38,54 +38,19 @@ class BitWriter
      */
     void putBits(uint32_t value, unsigned width);
 
-    /** Append a full byte (8 bits). */
-    void putByte(uint8_t b) { putBits(b, 8); }
-
-    /**
-     * Splice the first @p bit_count bits of another MSB-first stream
-     * onto this one. The source's final partial byte must be
-     * zero-padded below its last valid bit (true of any BitWriter
-     * buffer). Used by the parallel BD encoder to concatenate
-     * independently emitted per-chunk bitstreams; byte-aligned
-     * destinations take a bulk-copy fast path.
-     */
-    void appendBits(const uint8_t *bytes, std::size_t bit_count);
-
     /**
      * Pre-allocate capacity for @p bits more bits so subsequent writes
-     * never reallocate — the parallel BD tile emitters size each chunk
-     * writer exactly from the prefix bit-offset pass.
+     * never reallocate (the variable-width BD encoder reserves its
+     * frame's worst case up front).
      */
     void reserve(std::size_t bits)
     { bytes_.reserve((bitCount_ + bits + 7) / 8); }
-
-    /** Drop all content, keeping the buffer's capacity for reuse. */
-    void clear()
-    {
-        bytes_.clear();
-        bitCount_ = 0;
-    }
-
-    /**
-     * Adopt @p buf as the (cleared) output buffer, reusing its
-     * capacity. Together with take(), lets a frame loop recycle one
-     * bitstream allocation across frames.
-     */
-    void reset(std::vector<uint8_t> buf)
-    {
-        buf.clear();
-        bytes_ = std::move(buf);
-        bitCount_ = 0;
-    }
 
     /** Pad with zero bits up to the next byte boundary. */
     void alignToByte();
 
     /** Exact number of bits written so far. */
     std::size_t bitCount() const { return bitCount_; }
-
-    /** Bytes written (the final partial byte counts as one). */
-    std::size_t byteCount() const { return (bitCount_ + 7) / 8; }
 
     /** The underlying buffer; the final byte may be partially filled. */
     const std::vector<uint8_t> &bytes() const { return bytes_; }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
 #include <vector>
 
 #include "bd/bd_codec.hh"
@@ -64,6 +66,102 @@ TEST(BdParallel, ThreadCountSweepIsByteIdentical)
             }
         }
     }
+}
+
+/**
+ * Image whose every tile-channel has a random delta width 0..8 (each
+ * pixel is the channel's base plus a value below 2^w), so tile records
+ * take every length mod 8 when the tile's pixel count is odd.
+ */
+ImageU8
+randomWidthImage(Rng &rng, int w, int h, int tile)
+{
+    ImageU8 img(w, h);
+    for (const TileRect &rect : tileGrid(w, h, tile)) {
+        for (int c = 0; c < 3; ++c) {
+            const unsigned bits =
+                static_cast<unsigned>(rng.uniformInt(9));
+            const unsigned base =
+                static_cast<unsigned>(rng.uniformInt(256 >> bits));
+            for (int y = rect.y0; y < rect.y0 + rect.h; ++y)
+                for (int x = rect.x0; x < rect.x0 + rect.w; ++x)
+                    img.setChannel(
+                        x, y, c,
+                        static_cast<uint8_t>(
+                            base + rng.uniformInt(1u << bits)));
+        }
+    }
+    return img;
+}
+
+TEST(BdParallel, ChunkSeamsAtEveryBitPhaseAreByteIdentical)
+{
+    // Parallel chunks write straight into the output and merge only
+    // their final partial byte into the next chunk's first byte. Sweep
+    // frames whose chunk seams land on every bit phase, encoding into a
+    // reused buffer pre-filled with 0xFF and larger than the stream, so
+    // a seam byte that is missed, doubled, or left stale shows up.
+    struct Case
+    {
+        int w, h, tile;
+        bool flat;
+    };
+    std::vector<Case> cases = {
+        {32, 32, 4, true},   // all-flat tiles: 36-bit records
+        {33, 19, 4, true},   // flat, partial edge tiles
+        {61, 47, 4, false},  // odd dimensions, partial edge tiles
+        {13, 7, 5, false},
+        {3, 3, 4, false},    // a 1-tile frame
+        {8, 4, 4, false},    // 2 tiles: more participants than tiles
+        {7, 5, 3, false},
+    };
+    for (int i = 0; i < 12; ++i)  // 9-pixel tiles: every record length
+        cases.push_back({24 + i, 21 + 2 * i, 3, false});
+
+    Rng rng(9);
+    ThreadPool pool(3);
+    std::bitset<8> phases;
+    for (const Case &cs : cases) {
+        ImageU8 img = randomWidthImage(rng, cs.w, cs.h, cs.tile);
+        if (cs.flat)
+            for (int y = 0; y < cs.h; ++y)
+                for (int x = 0; x < cs.w; ++x)
+                    for (int c = 0; c < 3; ++c)
+                        img.setChannel(
+                            x, y, c,
+                            img.channel(x / cs.tile * cs.tile,
+                                        y / cs.tile * cs.tile, c));
+        const BdCodec codec(cs.tile);
+        const std::vector<uint8_t> serial = codec.encode(img);
+        ASSERT_EQ(BdCodec::decode(serial), img);
+
+        const std::vector<TileRect> tiles =
+            tileGrid(cs.w, cs.h, cs.tile);
+        std::vector<std::size_t> offsets(tiles.size() + 1);
+        BdCodec::walkTileRange(serial.data(), serial.size(), tiles, 0,
+                               tiles.size(), 0, offsets.data());
+        for (const int participants : {2, 3, 4, 5, 8}) {
+            // Seam phases under encodeInto's chunking: min(tiles,
+            // 4 x participants) equal tile ranges.
+            const std::size_t n_chunks = std::min<std::size_t>(
+                tiles.size(), 4 * static_cast<std::size_t>(participants));
+            for (std::size_t k = 1; k < n_chunks; ++k)
+                phases.set((kBdStreamHeaderBits +
+                            offsets[tiles.size() * k / n_chunks]) %
+                           8);
+
+            std::vector<uint8_t> out(serial.size() + 64, 0xFF);
+            out.reserve(2 * out.size());
+            BdEncodeScratch scratch;
+            codec.encodeInto(img, nullptr, out, &scratch, &pool,
+                             participants);
+            EXPECT_EQ(out, serial)
+                << cs.w << "x" << cs.h << " tile " << cs.tile
+                << " participants " << participants;
+            EXPECT_EQ(BdCodec::decode(out), img);
+        }
+    }
+    EXPECT_TRUE(phases.all()) << "seam phases covered: " << phases;
 }
 
 TEST(BdParallel, ParallelStreamDecodesLosslessly)

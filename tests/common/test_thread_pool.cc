@@ -134,7 +134,8 @@ TEST(ThreadPool, WorkerExceptionPropagatesToCaller)
 {
     ThreadPool pool(2);
     for (int attempt = 0; attempt < 20; ++attempt) {
-        bool worker_ran = false;
+        // Atomic: both worker slots may throw at once.
+        std::atomic<bool> worker_ran{false};
         try {
             pool.parallelFor(300, 1, 3,
                              [&](std::size_t, std::size_t, int slot) {
@@ -144,11 +145,11 @@ TEST(ThreadPool, WorkerExceptionPropagatesToCaller)
                                  }
                              });
         } catch (const std::runtime_error &) {
-            EXPECT_TRUE(worker_ran);
+            EXPECT_TRUE(worker_ran.load());
             return;  // a worker got a chunk and its throw surfaced
         }
         // All 300 chunks may have landed on the caller; retry.
-        EXPECT_FALSE(worker_ran);
+        EXPECT_FALSE(worker_ran.load());
     }
     GTEST_SKIP() << "workers never claimed a chunk; single-core sched";
 }

@@ -287,9 +287,6 @@ TEST(ShardedService, StealingKeepsCohomedStreamsStarvationFree)
         EXPECT_FALSE(lease->bdStream.empty());
     }
 
-    ServiceReport rep = svc.report();
-    EXPECT_GE(rep.stolenFrames, 1u)
-        << "a parked home dispatcher implies at least one steal";
     EXPECT_EQ(gated, names[0]);
 
     gate.release();
@@ -297,9 +294,15 @@ TEST(ShardedService, StealingKeepsCohomedStreamsStarvationFree)
     ASSERT_TRUE(lease.valid());
     EXPECT_FALSE(lease->bdStream.empty());
 
-    // Counter cross-checks after quiescence.
+    // Counter cross-checks after quiescence. A steal counts when its
+    // encode finishes, and the parked frame may itself be the stolen
+    // one (a thief took it and the home dispatcher drained the rest),
+    // so the steal count is only certain once that frame is done.
     svc.drainAll();
-    rep = svc.report();
+    const ServiceReport rep = svc.report();
+    EXPECT_GE(rep.stolenFrames, 1u)
+        << "a parked dispatcher on the only loaded ring implies at "
+           "least one steal";
     std::uint64_t stealsBy = 0;
     std::uint64_t stolenFrom = 0;
     std::uint64_t queued = 0;
@@ -447,22 +450,38 @@ TEST(ShardedService, ReportExposesShardCountersAndCapacities)
     EXPECT_GE(rep.queuePeakDepth, 1u);
     EXPECT_LE(rep.queuePeakDepth, rep.queueCapacity);
     std::uint64_t encoded = 0;
+    std::uint64_t queued = 0;
+    std::uint64_t stolen = 0;
+    std::uint64_t stolen_from = 0;
+    std::uint64_t dispatches = 0;
     for (const ShardStats &sh : rep.shards) {
         EXPECT_EQ(sh.queueCapacity, sp.queueCapacity / sp.shards);
         EXPECT_GE(sh.queuePeakDepth, 1u) << "both shards saw work";
         EXPECT_LE(sh.queuePeakDepth, sh.queueCapacity);
         EXPECT_EQ(sh.queueDepth, 0u) << "drained";
         EXPECT_EQ(sh.participants, 2);
-        EXPECT_GT(sh.poolDispatches, 0u);
-        EXPECT_GT(sh.poolMeanParticipants, 1.0);
-        EXPECT_LE(sh.poolMeanParticipants, 2.0);
-        EXPECT_GT(sh.busySeconds, 0.0);
+        // One dispatcher may steal every frame of the other shard, so
+        // only a shard that encoded something has used its pool.
+        if (sh.framesEncoded > 0) {
+            EXPECT_GT(sh.poolDispatches, 0u);
+            EXPECT_GT(sh.poolMeanParticipants, 1.0);
+            EXPECT_LE(sh.poolMeanParticipants, 2.0);
+            EXPECT_GT(sh.busySeconds, 0.0);
+        }
         EXPECT_GE(sh.occupancy, 0.0);
         EXPECT_EQ(sh.streamsHomed, 1u);
         encoded += sh.framesEncoded;
+        queued += sh.framesQueued;
+        stolen += sh.framesStolen;
+        stolen_from += sh.framesStolenFrom;
+        dispatches += sh.poolDispatches;
     }
     EXPECT_EQ(encoded, rep.framesEncoded);
     EXPECT_EQ(rep.framesEncoded, 6u);
+    EXPECT_EQ(queued, rep.framesEncoded);
+    EXPECT_EQ(stolen, stolen_from);
+    EXPECT_GE(dispatches, rep.framesEncoded)
+        << "every encode dispatches the pool at least once";
 }
 
 TEST(ShardedService, InvalidShardParamsThrow)
