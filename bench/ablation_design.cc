@@ -43,13 +43,9 @@ bppWithAxis(const ImageF &frame, const EccentricityMap &ecc,
         }
         if (min_ecc < 5.0)
             continue;
-        std::vector<Vec3> adjusted;
-        if (axis < 0) {
-            adjusted = adjuster.adjustTile(pixels, eccs).adjusted;
-        } else {
-            adjusted =
-                adjuster.adjustAlongAxis(pixels, eccs, axis).adjusted;
-        }
+        const TileAdjustment result = adjuster.adjustTile(pixels, eccs);
+        const std::vector<Vec3> &adjusted =
+            (axis < 0 ? result.chosen() : result.axis(axis)).adjusted;
         std::size_t k = 0;
         for (int y = rect.y0; y < rect.y0 + rect.h; ++y)
             for (int x = rect.x0; x < rect.x0 + rect.w; ++x)

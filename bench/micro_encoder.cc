@@ -109,15 +109,21 @@ BENCHMARK(BM_TileAdjust)->Arg(4)->Arg(8)->Arg(16);
 void
 BM_TileAdjustScratch(benchmark::State &state)
 {
-    // The zero-allocation production path: scratch reused across tiles.
+    // The zero-allocation production path: one arena reused across
+    // tiles.
     const TileAdjuster adjuster(model());
     const auto tile = randomTile(state.range(0) * state.range(0), 1);
     const std::vector<double> ecc(tile.size(), 20.0);
-    TileScratch scratch;
+    simd::TileSoA soa;
     for (auto _ : state) {
-        scratch.pixels = tile;
-        scratch.ecc = ecc;
-        benchmark::DoNotOptimize(adjuster.adjustTile(scratch));
+        soa.resize(tile.size());
+        for (std::size_t i = 0; i < tile.size(); ++i) {
+            soa.lane(simd::kPx)[i] = tile[i].x;
+            soa.lane(simd::kPy)[i] = tile[i].y;
+            soa.lane(simd::kPz)[i] = tile[i].z;
+            soa.lane(simd::kEcc)[i] = ecc[i];
+        }
+        benchmark::DoNotOptimize(adjuster.adjustTile(soa));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(tile.size()));

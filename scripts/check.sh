@@ -28,6 +28,13 @@ cmake -B build -S . > /dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "== Pipeline-level suites at the scalar SIMD level (Release) =="
+# The ctest pass above runs the one tile-adjust flow at the detected
+# dispatch level (AVX2 where the CPU has it). Run the suites that drive
+# it end to end once more with the portable scalar kernels forced.
+FOVE_SIMD=off ctest --test-dir build --output-on-failure -j"$JOBS" \
+    -R '^(core|simd|integration)_'
+
 echo "== Sanitizer build (address,undefined) =="
 cmake -B build-san -S . -DFOVE_SANITIZE=address,undefined > /dev/null
 cmake --build build-san -j"$JOBS"
@@ -130,14 +137,14 @@ echo "== Concurrency suites under ThreadSanitizer =="
 cmake -B build-tsan -S . -DFOVE_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"$JOBS" --target \
     common_test_sharded_queue common_test_thread_pool \
-    common_test_bounded_queue bd_test_bd_parallel \
+    bd_test_bd_parallel \
     service_test_sharded_service service_test_encode_service \
     service_test_gaze_service service_test_collect_timeout \
     service_test_fault_service \
     net_test_delivery net_test_delivery_sharded \
     obs_test_trace obs_test_metrics obs_test_frame_trace
 for suite in common_test_sharded_queue common_test_thread_pool \
-             common_test_bounded_queue bd_test_bd_parallel \
+             bd_test_bd_parallel \
              service_test_sharded_service service_test_encode_service \
              service_test_gaze_service service_test_collect_timeout \
              service_test_fault_service \

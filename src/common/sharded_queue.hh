@@ -4,10 +4,10 @@
  * work stealing — the request spine of the *sharded* encode service
  * (src/service).
  *
- * The single-ring BoundedQueue (bounded_queue.hh) serves one consumer
- * draining serially; scaling the service across cores needs N
- * consumers that stay busy without violating per-stream ordering. This
- * queue restructures who owns the requests:
+ * A single bounded ring drained by one consumer would serialize the
+ * service; scaling it across cores needs N consumers that stay busy
+ * without violating per-stream ordering. This queue arranges who owns
+ * the requests:
  *
  *  - **Shards.** Storage is N bounded rings, one per shard, each with
  *    its own fixed preallocated storage and its own not-full condition
@@ -43,11 +43,12 @@
  * stealing makes them interchangeable: any consumer can serve any
  * eligible element, so a wakeup is never wasted on the "wrong" shard.
  *
- * Close/drain protocol matches BoundedQueue: after close(), pushes are
- * refused but every queued element is still handed out (a consumer
- * blocked on an ineligible element waits for the lane holder's
- * finishLane, then drains it), and popForShard returns std::nullopt
- * only once the queue is closed *and* empty.
+ * Close/drain protocol: after close(), pushes are refused (a push
+ * blocked on a full shard wakes and returns false) but every queued
+ * element is still handed out (a consumer blocked on an ineligible
+ * element waits for the lane holder's finishLane, then drains it), and
+ * popForShard returns std::nullopt only once the queue is closed *and*
+ * empty.
  *
  * Steady state allocates nothing: rings are fixed storage sized at
  * construction, and the busy-lane set is a fixed array of

@@ -1,7 +1,6 @@
 #include "core/adjust.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <typeinfo>
 
@@ -13,13 +12,17 @@ namespace pce {
 
 namespace {
 
-/** Quantize a candidate tile into @p codes and return its BD bit cost. */
-std::size_t
-tileBitsOf(const std::vector<Vec3> &adjusted, std::vector<uint8_t> &codes)
+/** Store @p pair into the six extrema lanes starting at @p high_x. */
+void
+storeExtrema(simd::TileSoA &soa, int high_x, std::size_t i,
+             const ExtremaPair &pair)
 {
-    codes.resize(adjusted.size() * 3);
-    linearToSrgb8(adjusted.data(), adjusted.size(), codes.data());
-    return bdTileBitsFromCodes(codes.data(), adjusted.size());
+    soa.lane(high_x + 0)[i] = pair.high.x;
+    soa.lane(high_x + 1)[i] = pair.high.y;
+    soa.lane(high_x + 2)[i] = pair.high.z;
+    soa.lane(high_x + 3)[i] = pair.low.x;
+    soa.lane(high_x + 4)[i] = pair.low.y;
+    soa.lane(high_x + 5)[i] = pair.low.z;
 }
 
 } // namespace
@@ -27,130 +30,85 @@ tileBitsOf(const std::vector<Vec3> &adjusted, std::vector<uint8_t> &codes)
 std::size_t
 bdTileBits(const std::vector<Vec3> &pixels_linear)
 {
-    std::vector<uint8_t> codes;
-    return tileBitsOf(pixels_linear, codes);
+    std::vector<uint8_t> codes(pixels_linear.size() * 3);
+    linearToSrgb8(pixels_linear.data(), pixels_linear.size(),
+                  codes.data());
+    return bdTileBitsFromCodes(codes.data(), pixels_linear.size());
 }
 
 TileAdjuster::TileAdjuster(const DiscriminationModel &model,
                            ExtremaFn extrema, simd::SimdLevel level)
     : model_(model), extrema_(std::move(extrema)),
+      kernels_(simd::tileKernels(level)),
       simdLevel_(simd::effectiveSimdLevel(level))
 {
-    // The kernel flow hardcodes the analytic model's datapath; engage
-    // it only when the model *is* exactly that type (a subclass could
-    // override the semi-axis evaluation) and the extrema backend is the
-    // default Eq. 11-13 datapath the kernels implement.
-    if (!extrema_ && typeid(model) == typeid(AnalyticDiscriminationModel)) {
+    // The ellipsoid kernel hardcodes the analytic model's datapath;
+    // use it only when the model *is* exactly that type (a subclass
+    // could override the semi-axis evaluation).
+    analytic_ = typeid(model) == typeid(AnalyticDiscriminationModel);
+    if (analytic_)
         analyticParams_ =
             static_cast<const AnalyticDiscriminationModel &>(model)
                 .params();
-        kernels_ = &simd::tileKernels(level);
+}
+
+void
+TileAdjuster::modelEllipsoids(simd::TileSoA &soa) const
+{
+    for (std::size_t i = 0; i < soa.n; ++i) {
+        // Clamped before entering the model, as the ellipsoid kernel
+        // does.
+        const Ellipsoid e = model_.ellipsoidFor(
+            Vec3(soa.lane(simd::kPx)[i], soa.lane(simd::kPy)[i],
+                 soa.lane(simd::kPz)[i])
+                .clamped(0.0, 1.0),
+            soa.lane(simd::kEcc)[i]);
+        soa.lane(simd::kCx)[i] = e.centerDkl.x;
+        soa.lane(simd::kCy)[i] = e.centerDkl.y;
+        soa.lane(simd::kCz)[i] = e.centerDkl.z;
+        soa.lane(simd::kAx)[i] = e.semiAxes.x;
+        soa.lane(simd::kAy)[i] = e.semiAxes.y;
+        soa.lane(simd::kAz)[i] = e.semiAxes.z;
     }
 }
 
 void
-TileAdjuster::computeEllipsoids(TileScratch &scratch) const
+TileAdjuster::extremaFromFn(simd::TileSoA &soa) const
 {
-    const std::size_t n = scratch.pixels.size();
-    scratch.ellipsoids.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.ellipsoids[i] = model_.ellipsoidFor(
-            scratch.pixels[i].clamped(0.0, 1.0), scratch.ecc[i]);
-}
-
-TileAdjuster::AxisOutcome
-TileAdjuster::moveAlongAxis(const std::vector<Vec3> &pixels,
-                            const std::vector<ExtremaPair> &extrema,
-                            int axis,
-                            std::vector<Vec3> &adjusted) const
-{
-    const std::size_t n = pixels.size();
-    adjusted.resize(n);
-
-    AxisOutcome out;
-    if (n == 0)
-        return out;
-
-    // Step 2 (Fig. 7): HL (highest of the lows) and LH (lowest of the
-    // highs); the CAU computes these with two reduction trees (Sec. 4.2).
-    double hl = -1e300;
-    double lh = 1e300;
-    for (const auto &ex : extrema) {
-        hl = std::max(hl, ex.low[axis]);
-        lh = std::min(lh, ex.high[axis]);
+    for (std::size_t i = 0; i < soa.n; ++i) {
+        Ellipsoid e;
+        e.centerDkl = Vec3(soa.lane(simd::kCx)[i], soa.lane(simd::kCy)[i],
+                           soa.lane(simd::kCz)[i]);
+        e.semiAxes = Vec3(soa.lane(simd::kAx)[i], soa.lane(simd::kAy)[i],
+                          soa.lane(simd::kAz)[i]);
+        storeExtrema(soa, simd::kRedHighX, i, extrema_(e, 0));
+        storeExtrema(soa, simd::kBlueHighX, i, extrema_(e, 2));
     }
-    out.hlPlane = hl;
-    out.lhPlane = lh;
-    out.adjustCase = hl > lh ? AdjustCase::C1 : AdjustCase::C2;
-
-    // Step 3: move colors along the extrema vectors.
-    for (std::size_t i = 0; i < n; ++i) {
-        const Vec3 &p = pixels[i];
-        double target;
-        if (out.adjustCase == AdjustCase::C2) {
-            // Common plane: collapse the channel entirely (Fig. 6b).
-            target = 0.5 * (hl + lh);
-        } else {
-            // No common plane: clamp into [LH, HL] (Fig. 6a).
-            target = std::clamp(p[axis], lh, hl);
-        }
-
-        const Vec3 v = extrema[i].extremaVector();
-        if (v[axis] == 0.0) {
-            adjusted[i] = p;  // degenerate: no mobility along this axis
-            continue;
-        }
-        double t = (target - p[axis]) / v[axis];
-        // The target lies between the pixel's own extrema, so |t|<=0.5
-        // keeps the color on the center chord, inside the ellipsoid.
-        // Division-free fast path: a strictly in-gamut destination
-        // means t is inside every per-coordinate clamp interval.
-        const Vec3 cand = p + v * t;
-        if (cand.x > 0.0 && cand.x < 1.0 && cand.y > 0.0 &&
-            cand.y < 1.0 && cand.z > 0.0 && cand.z < 1.0) {
-            adjusted[i] = cand;
-            continue;
-        }
-        const double t_gamut = clampMovementToGamut(p, v, t);
-        if (t_gamut != t)
-            ++out.gamutClampedPixels;
-        adjusted[i] = p + v * t_gamut;
-    }
-    return out;
 }
 
 TileOutcome
-TileAdjuster::adjustTile(TileScratch &scratch) const
+TileAdjuster::adjustTile(simd::TileSoA &soa) const
 {
-    if (scratch.pixels.size() != scratch.ecc.size())
-        throw std::invalid_argument("adjustTile: size mismatch");
-    return kernels_ ? adjustTileKernels(scratch)
-                    : adjustTileLegacy(scratch);
-}
-
-TileOutcome
-TileAdjuster::adjustTileSoA(TileScratch &scratch) const
-{
-    if (!kernels_)
-        throw std::logic_error(
-            "adjustTileSoA: kernel flow not engaged (see "
-            "usingSimdKernels)");
-    simd::TileSoA &soa = scratch.soa;
     const std::size_t n = soa.n;
 
-    kernels_->ellipsoids(soa, analyticParams_);
-    kernels_->extremaBoth(soa);
+    // Steps 1-2 (Fig. 7): per-pixel ellipsoids, then extrema for both
+    // axes. The only configuration-dependent part of the flow.
+    if (analytic_)
+        kernels_.ellipsoids(soa, analyticParams_);
+    else
+        modelEllipsoids(soa);
+    if (extrema_)
+        extremaFromFn(soa);
+    else
+        kernels_.extremaBoth(soa);
 
     TileOutcome out;
-    int clamped[2] = {0, 0};
-    const int axes[2] = {0, 2};
-    for (int pass = 0; pass < 2; ++pass) {
-        const int axis = axes[pass];
-        AdjustCase tile_case = AdjustCase::C2;
+    for (const int axis : {0, 2}) {
+        AxisResult &r = axis == 0 ? out.red : out.blue;
         if (n > 0) {
-            // Step 2 (Fig. 7): HL / LH reduction over the extrema's
-            // axis components, in the same sequential order as the
-            // legacy flow.
+            // Step 3 (Fig. 7): HL (highest of the lows) and LH (lowest
+            // of the highs); the CAU computes these with two reduction
+            // trees (Sec. 4.2).
             const double *low = soa.lane(
                 axis == 0 ? simd::kRedLowX : simd::kBlueLowZ);
             const double *high = soa.lane(
@@ -161,145 +119,19 @@ TileAdjuster::adjustTileSoA(TileScratch &scratch) const
                 hl = std::max(hl, low[i]);
                 lh = std::min(lh, high[i]);
             }
-            tile_case = hl > lh ? AdjustCase::C1 : AdjustCase::C2;
-            clamped[pass] = kernels_->moveAxis(
-                soa, axis, tile_case == AdjustCase::C2,
+            r.hlPlane = hl;
+            r.lhPlane = lh;
+            r.adjustCase = hl > lh ? AdjustCase::C1 : AdjustCase::C2;
+            // Then move colors along the extrema vectors.
+            r.gamutClampedPixels = kernels_.moveAxis(
+                soa, axis, r.adjustCase == AdjustCase::C2,
                 0.5 * (hl + lh), lh, hl);
         }
-        if (pass == 0)
-            out.caseRed = tile_case;
-        else
-            out.caseBlue = tile_case;
+        // Step 4: BD cost of the candidate after sRGB quantization;
+        // the cheaper candidate is picked below.
+        r.bits = kernels_.tileCost(soa, axis);
     }
-
-    out.bitsRed = kernels_->tileCost(soa, 0);
-    out.bitsBlue = kernels_->tileCost(soa, 2);
-
-    const bool pick_red = out.bitsRed < out.bitsBlue;
-    out.chosenAxis = pick_red ? 0 : 2;
-    out.chosenCase = pick_red ? out.caseRed : out.caseBlue;
-    out.gamutClampedPixels = clamped[pick_red ? 0 : 1];
-    return out;
-}
-
-TileOutcome
-TileAdjuster::adjustTileKernels(TileScratch &scratch) const
-{
-    const std::size_t n = scratch.pixels.size();
-    simd::TileSoA &soa = scratch.soa;
-    soa.resize(n);
-
-    // Planar split of the gathered tile; frame-pipeline callers gather
-    // into the lanes directly (adjustTileSoA) and skip this.
-    double *px = soa.lane(simd::kPx);
-    double *py = soa.lane(simd::kPy);
-    double *pz = soa.lane(simd::kPz);
-    double *ecc = soa.lane(simd::kEcc);
-    for (std::size_t i = 0; i < n; ++i) {
-        px[i] = scratch.pixels[i].x;
-        py[i] = scratch.pixels[i].y;
-        pz[i] = scratch.pixels[i].z;
-        ecc[i] = scratch.ecc[i];
-    }
-
-    TileOutcome out = adjustTileSoA(scratch);
-
-    const bool pick_red = out.chosenAxis == 0;
-    const double *ox =
-        soa.lane(pick_red ? simd::kOutRedX : simd::kOutBlueX);
-    const double *oy =
-        soa.lane(pick_red ? simd::kOutRedY : simd::kOutBlueY);
-    const double *oz =
-        soa.lane(pick_red ? simd::kOutRedZ : simd::kOutBlueZ);
-    scratch.adjustedChosen.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.adjustedChosen[i] = Vec3(ox[i], oy[i], oz[i]);
-    out.adjusted = &scratch.adjustedChosen;
-    return out;
-}
-
-TileOutcome
-TileAdjuster::adjustTileLegacy(TileScratch &scratch) const
-{
-    const std::size_t n = scratch.pixels.size();
-
-    // Step 1 (Fig. 7): per-pixel ellipsoids, computed once and shared
-    // by both axis passes; extrema for both axes from one quadric.
-    computeEllipsoids(scratch);
-    scratch.extremaRed.resize(n);
-    scratch.extremaBlue.resize(n);
-    if (extrema_) {
-        for (std::size_t i = 0; i < n; ++i) {
-            scratch.extremaRed[i] = extrema_(scratch.ellipsoids[i], 0);
-            scratch.extremaBlue[i] = extrema_(scratch.ellipsoids[i], 2);
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            extremaBothAxes(scratch.ellipsoids[i],
-                            scratch.extremaRed[i],
-                            scratch.extremaBlue[i]);
-    }
-
-    const AxisOutcome red = moveAlongAxis(
-        scratch.pixels, scratch.extremaRed, 0, scratch.adjustedRed);
-    const AxisOutcome blue = moveAlongAxis(
-        scratch.pixels, scratch.extremaBlue, 2, scratch.adjustedBlue);
-
-    TileOutcome out;
-    out.caseRed = red.adjustCase;
-    out.caseBlue = blue.adjustCase;
-    out.bitsRed = tileBitsOf(scratch.adjustedRed, scratch.codes);
-    out.bitsBlue = tileBitsOf(scratch.adjustedBlue, scratch.codes);
-
-    if (out.bitsRed < out.bitsBlue) {
-        out.adjusted = &scratch.adjustedRed;
-        out.chosenAxis = 0;
-        out.chosenCase = red.adjustCase;
-        out.gamutClampedPixels = red.gamutClampedPixels;
-    } else {
-        out.adjusted = &scratch.adjustedBlue;
-        out.chosenAxis = 2;
-        out.chosenCase = blue.adjustCase;
-        out.gamutClampedPixels = blue.gamutClampedPixels;
-    }
-    return out;
-}
-
-AxisAdjustment
-TileAdjuster::adjustAlongAxis(const std::vector<Vec3> &pixels,
-                              const std::vector<double> &ecc_deg,
-                              int axis) const
-{
-    if (pixels.size() != ecc_deg.size())
-        throw std::invalid_argument("adjustAlongAxis: size mismatch");
-    if (axis != 0 && axis != 2)
-        throw std::invalid_argument(
-            "adjustAlongAxis: axis must be Red (0) or Blue (2)");
-
-    const std::size_t n = pixels.size();
-    AxisAdjustment out;
-    if (n == 0)
-        return out;
-
-    TileScratch scratch;
-    scratch.pixels = pixels;
-    scratch.ecc = ecc_deg;
-    computeEllipsoids(scratch);
-
-    auto &extrema =
-        axis == 0 ? scratch.extremaRed : scratch.extremaBlue;
-    extrema.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        extrema[i] = extrema_
-                         ? extrema_(scratch.ellipsoids[i], axis)
-                         : extremaAlongAxis(scratch.ellipsoids[i], axis);
-
-    const AxisOutcome o =
-        moveAlongAxis(scratch.pixels, extrema, axis, out.adjusted);
-    out.adjustCase = o.adjustCase;
-    out.hlPlane = o.hlPlane;
-    out.lhPlane = o.lhPlane;
-    out.gamutClampedPixels = o.gamutClampedPixels;
+    out.chosenAxis = out.red.bits < out.blue.bits ? 0 : 2;
     return out;
 }
 
@@ -307,20 +139,30 @@ TileAdjustment
 TileAdjuster::adjustTile(const std::vector<Vec3> &pixels,
                          const std::vector<double> &ecc_deg) const
 {
-    TileScratch scratch;
-    scratch.pixels = pixels;
-    scratch.ecc = ecc_deg;
-    const TileOutcome o = adjustTile(scratch);
+    if (pixels.size() != ecc_deg.size())
+        throw std::invalid_argument("adjustTile: size mismatch");
+    const std::size_t n = pixels.size();
+    simd::TileSoA soa;
+    soa.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        soa.lane(simd::kPx)[i] = pixels[i].x;
+        soa.lane(simd::kPy)[i] = pixels[i].y;
+        soa.lane(simd::kPz)[i] = pixels[i].z;
+        soa.lane(simd::kEcc)[i] = ecc_deg[i];
+    }
+    const TileOutcome o = adjustTile(soa);
 
     TileAdjustment out;
-    out.adjusted = *o.adjusted;
     out.chosenAxis = o.chosenAxis;
-    out.chosenCase = o.chosenCase;
-    out.caseRed = o.caseRed;
-    out.caseBlue = o.caseBlue;
-    out.bitsRed = o.bitsRed;
-    out.bitsBlue = o.bitsBlue;
-    out.gamutClampedPixels = o.gamutClampedPixels;
+    for (const int axis : {0, 2}) {
+        AxisAdjustment &a = axis == 0 ? out.red : out.blue;
+        static_cast<AxisResult &>(a) = axis == 0 ? o.red : o.blue;
+        const int x = axis == 0 ? simd::kOutRedX : simd::kOutBlueX;
+        a.adjusted.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            a.adjusted[i] = Vec3(soa.lane(x)[i], soa.lane(x + 1)[i],
+                                 soa.lane(x + 2)[i]);
+    }
     return out;
 }
 

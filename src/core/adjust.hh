@@ -27,18 +27,20 @@
  * Both axes are tried and the tile variant with the smaller BD bit cost
  * (after sRGB quantization) is kept, exactly as in Fig. 7.
  *
- * Two API layers expose the algorithm:
+ * One planar flow runs every configuration. The caller gathers a tile
+ * into the input lanes of a simd::TileSoA and adjustTile() runs the
+ * four Fig. 7 steps over them: ellipsoids, extrema for both axes, the
+ * HL/LH move along each axis, then the BD cost of both candidates and
+ * the pick. Only the first two steps depend on the configuration, and
+ * the adjuster decides at construction how to fill their lanes: the
+ * analytic model and the default extrema backend use the SIMD kernels
+ * (src/simd); any other model, or an ExtremaFn override, fills the
+ * same lanes with a scalar loop. Steps 3 and 4 always run the kernels.
+ * A worker reuses one TileSoA across tiles, so a frame encodes without
+ * allocating.
  *
- *  - The scratch-based flow (TileScratch + adjustTile(TileScratch &))
- *    is the production hot path: per-pixel ellipsoids are computed once
- *    and shared by the red- and blue-axis passes, extrema for both axes
- *    come from one quadric transform, sRGB quantization runs through
- *    the LUT exactly once per candidate, and every buffer lives in the
- *    caller-owned scratch so a worker thread encodes an entire frame
- *    without allocating.
- *  - The std::vector convenience overloads below are kept for tests,
- *    benches, and exploratory code; they wrap the scratch flow and
- *    produce bit-identical results.
+ * The std::vector convenience overload wraps the same flow for tests,
+ * benches and exploratory code, and returns both axis candidates.
  */
 
 #ifndef PCE_CORE_ADJUST_HH
@@ -46,7 +48,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -73,75 +74,52 @@ enum class AdjustCase
     C2,  ///< HL <= LH: common plane exists, channel collapses (Fig. 6b)
 };
 
-/**
- * Reusable per-worker scratch of the zero-allocation tile flow. The
- * caller fills `pixels` and `ecc` (the SoA gather of one tile) and
- * passes the scratch to TileAdjuster::adjustTile; all other buffers are
- * intermediate stages that grow to the tile size once and are reused
- * for every subsequent tile.
- */
-struct TileScratch
+/** One axis candidate of a tile (Fig. 7 steps 2-4 along one axis). */
+struct AxisResult
 {
-    /** Gathered linear-RGB tile pixels (caller-filled). */
-    std::vector<Vec3> pixels;
-    /** Per-pixel eccentricities, same length (caller-filled). */
-    std::vector<double> ecc;
-
-    /** Per-pixel ellipsoids, shared by both axis passes. */
-    std::vector<Ellipsoid> ellipsoids;
-    /** Per-pixel extrema along the Red / Blue axes. */
-    std::vector<ExtremaPair> extremaRed;
-    std::vector<ExtremaPair> extremaBlue;
-    /** The two candidate adjusted tiles. */
-    std::vector<Vec3> adjustedRed;
-    std::vector<Vec3> adjustedBlue;
-    /** Interleaved sRGB codes of the candidate being costed. */
-    std::vector<uint8_t> codes;
-
-    /** Planar lanes of the SIMD kernel flow (src/simd). */
-    simd::TileSoA soa;
-    /** Chosen variant of the kernel flow, interleaved for callers. */
-    std::vector<Vec3> adjustedChosen;
-};
-
-/** Outcome of adjusting one tile along one axis. */
-struct AxisAdjustment
-{
-    std::vector<Vec3> adjusted;  ///< linear RGB, same order as input
     AdjustCase adjustCase = AdjustCase::C2;
     double hlPlane = 0.0;  ///< HL value along the axis
     double lhPlane = 0.0;  ///< LH value along the axis
     int gamutClampedPixels = 0;  ///< movements shortened by the gamut
-};
-
-/** Outcome of the full per-tile optimization (both axes, best kept). */
-struct TileAdjustment
-{
-    std::vector<Vec3> adjusted;
-    int chosenAxis = 2;          ///< 0 = Red, 2 = Blue
-    AdjustCase chosenCase = AdjustCase::C2;
-    AdjustCase caseRed = AdjustCase::C2;
-    AdjustCase caseBlue = AdjustCase::C2;
-    std::size_t bitsRed = 0;     ///< BD bits of the red-axis variant
-    std::size_t bitsBlue = 0;    ///< BD bits of the blue-axis variant
-    int gamutClampedPixels = 0;
+    std::size_t bits = 0;  ///< BD bits after sRGB quantization
 };
 
 /**
- * Tile outcome of the scratch-based flow. The adjusted pixels are not
- * copied: `adjusted` points into the scratch (adjustedRed or
- * adjustedBlue) and is valid until the scratch is reused.
+ * Outcome of the planar tile flow: both axis candidates and the pick.
+ * The adjusted pixels stay in the TileSoA's kOutRed* / kOutBlue*
+ * lanes until the arena is reused.
  */
 struct TileOutcome
 {
-    int chosenAxis = 2;          ///< 0 = Red, 2 = Blue
-    AdjustCase chosenCase = AdjustCase::C2;
-    AdjustCase caseRed = AdjustCase::C2;
-    AdjustCase caseBlue = AdjustCase::C2;
-    std::size_t bitsRed = 0;
-    std::size_t bitsBlue = 0;
-    int gamutClampedPixels = 0;
-    const std::vector<Vec3> *adjusted = nullptr;
+    AxisResult red;
+    AxisResult blue;
+    int chosenAxis = 2;  ///< 0 = Red, 2 = Blue: the cheaper candidate
+
+    const AxisResult &chosen() const
+    {
+        return chosenAxis == 0 ? red : blue;
+    }
+};
+
+/** One axis candidate of the vector overload, with its pixels. */
+struct AxisAdjustment : AxisResult
+{
+    std::vector<Vec3> adjusted;  ///< linear RGB, same order as input
+};
+
+/** Outcome of the vector overload: both candidates and the pick. */
+struct TileAdjustment
+{
+    AxisAdjustment red;
+    AxisAdjustment blue;
+    int chosenAxis = 2;  ///< 0 = Red, 2 = Blue
+
+    /** The candidate along axis @p a (0 = Red, 2 = Blue). */
+    const AxisAdjustment &axis(int a) const
+    {
+        return a == 0 ? red : blue;
+    }
+    const AxisAdjustment &chosen() const { return axis(chosenAxis); }
 };
 
 /** The color adjustment algorithm of Sec. 3.4. */
@@ -151,15 +129,17 @@ class TileAdjuster
     /**
      * @param model Discrimination model used to derive per-pixel
      *              ellipsoids. The reference must outlive the adjuster.
-     * @param extrema Extrema backend; empty uses extremaAlongAxis.
-     * @param level SIMD dispatch level of the scratch-based tile flow;
-     *              defaults to CPUID detection with the FOVE_SIMD env
-     *              override (see src/simd/tile_kernels.hh). The kernel
-     *              flow only engages when @p model is exactly the
-     *              analytic model and no extrema override is set — any
-     *              other configuration runs the legacy scalar flow,
-     *              whose results every kernel level reproduces bit for
-     *              bit.
+     *              Exactly AnalyticDiscriminationModel fills the
+     *              ellipsoid lanes with the kernel; any other model
+     *              (a subclass included) with a scalar loop over
+     *              ellipsoidFor.
+     * @param extrema Extrema backend; empty runs the extremaBoth
+     *                kernel, otherwise a scalar loop calls it per pixel
+     *                for both axes.
+     * @param level SIMD dispatch level of the kernels; defaults to
+     *              CPUID detection with the FOVE_SIMD env override (see
+     *              src/simd/tile_kernels.hh). Every level gives
+     *              bit-identical results for every configuration.
      */
     explicit TileAdjuster(const DiscriminationModel &model,
                           ExtremaFn extrema = {},
@@ -168,51 +148,25 @@ class TileAdjuster
 
     /**
      * Effective dispatch level of the kernel table (the constructor's
-     * request clamped to what the CPU/build can run). Only meaningful
-     * for the scratch flow when usingSimdKernels() is true.
+     * request clamped to what the CPU/build can run).
      */
     simd::SimdLevel simdLevel() const { return simdLevel_; }
 
-    /** True when the planar kernel flow (src/simd) is engaged. */
-    bool usingSimdKernels() const { return kernels_ != nullptr; }
-
     /**
-     * The full Fig. 7 tile flow on a caller-owned scratch: ellipsoids
-     * once per pixel, extrema for both axes from one quadric, sRGB
-     * quantization through the LUT, smaller-BD-cost variant chosen.
-     * Zero allocation once the scratch has warmed to the tile size.
-     *
-     * @param scratch pixels/ecc filled by the caller; other members are
-     *                working storage.
+     * The full Fig. 7 tile flow on caller-owned planar lanes: soa must
+     * be resize(n)'d with lanes kPx..kPz / kEcc filled. Both candidates
+     * land in the kOutRed* / kOutBlue* lanes; the outcome names the
+     * cheaper one. Zero allocation once the arena has warmed to the
+     * tile size.
      */
-    TileOutcome adjustTile(TileScratch &scratch) const;
+    TileOutcome adjustTile(simd::TileSoA &soa) const;
 
     /**
-     * Kernel-flow entry for callers that gather straight into the
-     * planar lanes: scratch.soa must be resize(n)'d with lanes
-     * kPx..kPz / kEcc filled. Skips the Vec3 interleave of the chosen
-     * variant — TileOutcome::adjusted stays null and the result lives
-     * in the soa's kOutRed / kOutBlue lane groups of the chosen axis.
-     * Only valid when usingSimdKernels(); the frame pipeline uses this
-     * to avoid one AoS->SoA round trip per tile.
-     */
-    TileOutcome adjustTileSoA(TileScratch &scratch) const;
-
-    /**
-     * Adjust a tile along a single axis (exposed for tests and the
-     * ablation benches). Wraps the scratch flow; bit-identical to it.
+     * Convenience overload of the same flow that copies both axis
+     * candidates out of a call-local arena.
      *
      * @param pixels Linear-RGB tile pixels.
      * @param ecc_deg Per-pixel eccentricities (same length).
-     * @param axis 0 = Red or 2 = Blue.
-     */
-    AxisAdjustment adjustAlongAxis(const std::vector<Vec3> &pixels,
-                                   const std::vector<double> &ecc_deg,
-                                   int axis) const;
-
-    /**
-     * Convenience overload of the full tile flow that copies the
-     * chosen variant out of an internal scratch.
      */
     TileAdjustment adjustTile(const std::vector<Vec3> &pixels,
                               const std::vector<double> &ecc_deg) const;
@@ -220,38 +174,19 @@ class TileAdjuster
     const DiscriminationModel &model() const { return model_; }
 
   private:
-    /** Per-axis outcome without pixel storage. */
-    struct AxisOutcome
-    {
-        AdjustCase adjustCase = AdjustCase::C2;
-        double hlPlane = 0.0;
-        double lhPlane = 0.0;
-        int gamutClampedPixels = 0;
-    };
+    /** Ellipsoid lanes of a non-analytic model (scalar loop). */
+    void modelEllipsoids(simd::TileSoA &soa) const;
 
-    /** Fill scratch.ellipsoids from scratch.pixels / scratch.ecc. */
-    void computeEllipsoids(TileScratch &scratch) const;
-
-    /**
-     * Steps 2-3 of Fig. 7 along one axis: reduce HL/LH over @p extrema
-     * and move every pixel, writing the result to @p adjusted.
-     */
-    AxisOutcome moveAlongAxis(const std::vector<Vec3> &pixels,
-                              const std::vector<ExtremaPair> &extrema,
-                              int axis,
-                              std::vector<Vec3> &adjusted) const;
-
-    /** The pre-SIMD Vec3/AoS tile flow (any model, any extrema fn). */
-    TileOutcome adjustTileLegacy(TileScratch &scratch) const;
-
-    /** The planar kernel flow (analytic model, dispatch level). */
-    TileOutcome adjustTileKernels(TileScratch &scratch) const;
+    /** Extrema lanes of an ExtremaFn override (scalar loop). */
+    void extremaFromFn(simd::TileSoA &soa) const;
 
     const DiscriminationModel &model_;
     ExtremaFn extrema_;
-    /** Params snapshot backing the kernel flow (analytic model only). */
+    /** True when the model is exactly AnalyticDiscriminationModel. */
+    bool analytic_ = false;
+    /** Params snapshot backing the ellipsoid kernel (analytic only). */
     AnalyticModelParams analyticParams_;
-    const simd::TileKernels *kernels_ = nullptr;
+    const simd::TileKernels &kernels_;
     simd::SimdLevel simdLevel_ = simd::SimdLevel::Scalar;
 };
 
@@ -268,10 +203,10 @@ std::size_t bdTileBits(const std::vector<Vec3> &pixels_linear);
  * t * dir so every coordinate stays within [0, 1]. Assumes origin is in
  * gamut (true for rendered colors). Returns the clamped t.
  *
- * One definition shared by the legacy tile flow and the scalar kernel
- * reference (src/simd) — the bit-identity contract between them is
- * anchored here, and the AVX2 kernel mirrors this exact operation
- * sequence lanewise.
+ * One definition shared by the scalar moveAxis kernel (src/simd) and
+ * the Vec3 reference in tests/simd — the bit-identity contract between
+ * them is anchored here, and the AVX2 kernel mirrors this exact
+ * operation sequence lanewise.
  */
 inline double
 clampMovementToGamut(const Vec3 &origin, const Vec3 &dir, double t)

@@ -114,21 +114,23 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
     // call-local scratch instead. The paper's tile sizes (4..16) all
     // stay on the reuse path.
     static thread_local std::vector<PipelineStats> partial_tls;
-    static thread_local std::vector<TileScratch> scratch_tls;
-    std::vector<TileScratch> scratch_local;
+    static thread_local std::vector<simd::TileSoA> scratch_tls;
+    std::vector<simd::TileSoA> scratch_local;
     const bool reuse_scratch = params_.tileSize <= 32;
-    std::vector<TileScratch> &scratch =
+    std::vector<simd::TileSoA> &scratch =
         reuse_scratch ? scratch_tls : scratch_local;
     if (scratch.size() < static_cast<std::size_t>(participants))
         scratch.resize(participants);
     partial_tls.assign(participants, PipelineStats{});
     std::vector<PipelineStats> &partial = partial_tls;
 
-    const bool kernel_flow = adjuster_.usingSimdKernels();
     auto processRange = [&](std::size_t begin, std::size_t end,
                             int slot) {
-        PipelineStats &stats = partial[slot];
-        TileScratch &s = scratch[slot];
+        // Counted locally and folded in once per range: the slots of
+        // `partial` are adjacent, and per-tile increments on them would
+        // bounce cache lines between workers.
+        PipelineStats stats;
+        simd::TileSoA &s = scratch[slot];
         for (std::size_t i = begin; i < end; ++i) {
             const TileRect &rect = tiles[i];
             ++stats.totalTiles;
@@ -144,42 +146,25 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
                 continue;
             }
 
-            const std::size_t n =
-                static_cast<std::size_t>(rect.pixelCount());
-            TileOutcome adj;
-            if (kernel_flow) {
-                // Gather straight into the planar kernel lanes.
-                s.soa.resize(n);
-                double *px = s.soa.lane(simd::kPx);
-                double *py = s.soa.lane(simd::kPy);
-                double *pz = s.soa.lane(simd::kPz);
-                double *pe = s.soa.lane(simd::kEcc);
-                std::size_t k = 0;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                    const Vec3 *row = &frame.at(rect.x0, y);
-                    for (int x = 0; x < rect.w; ++x, ++k) {
-                        px[k] = row[x].x;
-                        py[k] = row[x].y;
-                        pz[k] = row[x].z;
-                        pe[k] = ecc.at(rect.x0 + x, y);
-                    }
+            // Gather straight into the planar kernel lanes.
+            s.resize(static_cast<std::size_t>(rect.pixelCount()));
+            double *px = s.lane(simd::kPx);
+            double *py = s.lane(simd::kPy);
+            double *pz = s.lane(simd::kPz);
+            double *pe = s.lane(simd::kEcc);
+            std::size_t k = 0;
+            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+                const Vec3 *row = &frame.at(rect.x0, y);
+                for (int x = 0; x < rect.w; ++x, ++k) {
+                    px[k] = row[x].x;
+                    py[k] = row[x].y;
+                    pz[k] = row[x].z;
+                    pe[k] = ecc.at(rect.x0 + x, y);
                 }
-                adj = adjuster_.adjustTileSoA(s);
-            } else {
-                // AoS gather into the worker's reusable scratch.
-                s.pixels.resize(n);
-                s.ecc.resize(n);
-                std::size_t k = 0;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                    const Vec3 *row = &frame.at(rect.x0, y);
-                    for (int x = 0; x < rect.w; ++x, ++k) {
-                        s.pixels[k] = row[x];
-                        s.ecc[k] = ecc.at(rect.x0 + x, y);
-                    }
-                }
-                adj = adjuster_.adjustTile(s);
             }
-            if (adj.chosenCase == AdjustCase::C1)
+            const TileOutcome adj = adjuster_.adjustTile(s);
+            const AxisResult &chosen = adj.chosen();
+            if (chosen.adjustCase == AdjustCase::C1)
                 ++stats.c1Tiles;
             else
                 ++stats.c2Tiles;
@@ -188,32 +173,24 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
             else
                 ++stats.blueAxisTiles;
             stats.gamutClampedPixels +=
-                static_cast<std::size_t>(adj.gamutClampedPixels);
+                static_cast<std::size_t>(chosen.gamutClampedPixels);
 
             // Adjusted pixels go straight into the output rows.
-            if (kernel_flow) {
-                const bool red = adj.chosenAxis == 0;
-                const double *ox = s.soa.lane(
-                    red ? simd::kOutRedX : simd::kOutBlueX);
-                const double *oy = s.soa.lane(
-                    red ? simd::kOutRedY : simd::kOutBlueY);
-                const double *oz = s.soa.lane(
-                    red ? simd::kOutRedZ : simd::kOutBlueZ);
-                std::size_t k = 0;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                    Vec3 *row = &out.at(rect.x0, y);
-                    for (int x = 0; x < rect.w; ++x, ++k)
-                        row[x] = Vec3(ox[k], oy[k], oz[k]);
-                }
-            } else {
-                const std::vector<Vec3> &res = *adj.adjusted;
-                std::size_t k = 0;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
-                    std::copy_n(&res[k], rect.w, &out.at(rect.x0, y));
-                    k += static_cast<std::size_t>(rect.w);
-                }
+            const bool red = adj.chosenAxis == 0;
+            const double *ox =
+                s.lane(red ? simd::kOutRedX : simd::kOutBlueX);
+            const double *oy =
+                s.lane(red ? simd::kOutRedY : simd::kOutBlueY);
+            const double *oz =
+                s.lane(red ? simd::kOutRedZ : simd::kOutBlueZ);
+            k = 0;
+            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+                Vec3 *row = &out.at(rect.x0, y);
+                for (int x = 0; x < rect.w; ++x, ++k)
+                    row[x] = Vec3(ox[k], oy[k], oz[k]);
             }
         }
+        partial[slot] += stats;
     };
 
     if (participants == 1)

@@ -150,7 +150,7 @@ bool verifyFrameSeal(const EncodedFrame &frame);
  * The full Fig. 7 encoder.
  *
  * The tile loop is the production hot path and is built for
- * throughput: per-worker TileScratch buffers make the steady state
+ * throughput: per-worker simd::TileSoA arenas make the steady state
  * allocation-free, the foveal-bypass test runs on the eccentricity map
  * before any pixel is gathered (O(tile border) per bypassed tile), and
  * adjusted tiles are written straight into the output image rows. With

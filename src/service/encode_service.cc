@@ -277,7 +277,6 @@ EncodeService::EncodeService(const DiscriminationModel &model,
         pipeline.tileSize = params_.tileSize;
         pipeline.fovealCutoffDeg = params_.fovealCutoffDeg;
         pipeline.threads = rt->participants;
-        pipeline.extremaFn = params_.extremaFn;
         pipeline.pool = rt->pool.get();
         rt->encoder =
             std::make_unique<PerceptualEncoder>(model, pipeline);

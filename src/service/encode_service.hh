@@ -153,8 +153,6 @@ struct ServiceParams
     int tileSize = 4;
     /** Foveal bypass cutoff, degrees (paper Sec. 5.1). */
     double fovealCutoffDeg = 5.0;
-    /** Extrema backend override (empty = double precision). */
-    ExtremaFn extremaFn;
     /**
      * Service-wide bound on queued (accepted, not yet encoding)
      * requests, split across shards: each shard ring holds

@@ -2,18 +2,22 @@
  * @file
  * SIMD kernel layer of the tile adjust datapath, with runtime dispatch.
  *
- * The three hot per-pixel stages of the Fig. 7 tile flow —
+ * The per-pixel stages of the Fig. 7 tile flow —
  *
  *  1. ellipsoid construction (clamp, RGB->DKL, analytic semi-axes),
  *  2. fused both-axes quadric extrema (Eq. 11-13),
- *  3. movement clamping/apply along one optimization axis —
+ *  3. movement clamping/apply along one optimization axis,
+ *  4. sRGB quantization and BD bit cost of one candidate —
  *
  * are exposed as data-parallel kernels over the planar TileSoA lanes.
- * Two implementations exist behind one function table: a portable
- * scalar build (always present; it *is* the reference datapath, calling
- * the same model/quadric code as the pre-SIMD scalar flow) and an AVX2
- * build processing 4 pixels per instruction, compiled into its own TU
- * with -mavx2 and selected at runtime by CPUID.
+ * TileAdjuster (core/adjust.hh) runs every configuration through these
+ * lanes: stages 3 and 4 always run here, while a non-analytic model or
+ * an ExtremaFn override fills the stage 1 or stage 2 lanes itself with
+ * a scalar loop. Two implementations exist behind one function table:
+ * a portable scalar build (always present; it *is* the reference
+ * datapath, calling the model/quadric code directly) and an AVX2 build
+ * processing 4 pixels per instruction, compiled into its own TU with
+ * -mavx2 and selected at runtime by CPUID.
  *
  * Bit-identity contract: every level produces bit-identical doubles for
  * every input. The AVX2 kernels replicate the scalar code's exact
@@ -82,8 +86,8 @@ struct TileKernels
     /**
      * Stage 1: per-pixel discrimination ellipsoids of the analytic
      * model. Reads kPx..kPz (raw pixels; clamped to [0,1] internally,
-     * matching the scalar flow) and kEcc; writes the DKL centers
-     * kCx..kCz and semi-axes kAx..kAz.
+     * as TileAdjuster's non-analytic loop also does) and kEcc; writes
+     * the DKL centers kCx..kCz and semi-axes kAx..kAz.
      */
     void (*ellipsoids)(TileSoA &soa, const AnalyticModelParams &params);
 
@@ -121,8 +125,8 @@ struct TileKernels
      * planar lanes (kOutRed* for axis 0, kOutBlue* for axis 2). sRGB-
      * quantizes each channel (bit-identical with linearToSrgb8; the
      * same process-wide tables back every level) and folds the per-
-     * channel min/max reduction in, so the interleaved code buffer the
-     * scalar flow materialized for bdTileBitsFromCodes never exists.
+     * channel min/max reduction in, so no interleaved code buffer for
+     * bdTileBitsFromCodes is ever materialized.
      * Returns meta(4) + base(8) + n * ceil(log2(range+1)) bits per
      * channel, exactly bdTileBitsFromCodes' accounting.
      */

@@ -3,15 +3,12 @@
  * Portable scalar kernels of the tile adjust datapath.
  *
  * This TU is the reference: stages 1 and 2 are thin planar wrappers
- * over the *same* model/quadric code the pre-SIMD scalar flow executed
- * (AnalyticDiscriminationModel::ellipsoidFor, extremaBothAxes), and
- * stage 3's gamut clamp is the shared clampMovementToGamut
- * (core/adjust.hh), so their results are bit-identical to it by
- * construction. The rest of stage 3 transcribes
- * TileAdjuster::moveAlongAxis statement for statement (the original
- * operates on Vec3/ExtremaPair AoS buffers and cannot consume planar
- * lanes directly); tests/core and tests/simd pin the transcription to
- * the legacy path bit for bit.
+ * over the model/quadric code (AnalyticDiscriminationModel::
+ * ellipsoidFor, extremaBothAxes), so they match it bit for bit by
+ * construction. Stage 3 moves each pixel with Vec3 arithmetic and the
+ * shared clampMovementToGamut (core/adjust.hh); tests/simd pins it to
+ * a Vec3 reference of the Fig. 6 move, and each stage 1, 2 and 4
+ * kernel to its model/quadric/codec counterpart.
  *
  * The AVX2 TU (tile_kernels_avx2.cc) mirrors the exact operation
  * sequence of these kernels four pixels at a time.
@@ -47,9 +44,9 @@ ellipsoidsScalar(TileSoA &soa, const AnalyticModelParams &params)
     double *ay = soa.lane(kAy);
     double *az = soa.lane(kAz);
     for (std::size_t i = 0; i < soa.n; ++i) {
-        // Same call the legacy computeEllipsoids makes: the pixel is
-        // clamped before entering the model, which puts ellipsoidFor on
-        // its single-DKL-transform branch.
+        // The pixel is clamped before entering the model, which puts
+        // ellipsoidFor on its single-DKL-transform branch (the
+        // non-analytic loop in TileAdjuster does the same).
         const Ellipsoid e = model.ellipsoidFor(
             Vec3(px[i], py[i], pz[i]).clamped(0.0, 1.0), ecc[i]);
         cx[i] = e.centerDkl.x;

@@ -2,20 +2,24 @@
  * @file
  * Planar (structure-of-arrays) tile storage for the SIMD kernel layer.
  *
- * The scalar hot path of PR 1 gathers each tile into flat per-tile
- * vectors (TileScratch), but the per-pixel records are still AoS:
- * Vec3 pixels, Ellipsoid centers/axes, ExtremaPair endpoints. A 4-wide
- * AVX2 lane wants one contiguous array per *component* instead, so the
- * kernels can load four pixels' worth of one coordinate with a single
- * unaligned vector load and never shuffle.
+ * The tile datapath works on one contiguous array per *component*
+ * (pixel x, pixel y, ..., extrema low z) rather than on Vec3 /
+ * Ellipsoid / ExtremaPair records, so a 4-wide AVX2 kernel can load
+ * four pixels' worth of one coordinate with a single unaligned vector
+ * load and never shuffle.
  *
  * TileSoA is one reusable arena holding every planar lane of the tile
  * datapath. All lanes share a common stride (the pixel count rounded up
  * to the vector width), so kernels may process ceil(n / 4) full vectors
  * per lane without tail code: resize() zero-fills the padding of the
- * *input* lanes, which keeps the padded math benign (no spurious
- * division-by-zero or negative sqrt in the unused slots), and the
- * padded slots of output lanes are simply never read back.
+ * *input* lanes, which keeps the padded math of the kernels benign (no
+ * spurious division-by-zero or negative sqrt in the unused slots), and
+ * the padded slots of output lanes are simply never read back. The
+ * scalar loops that fill the ellipsoid or extrema lanes for a
+ * non-analytic model or an extrema override write only the n valid
+ * slots; the padded slots after them may then hold stale or inf/NaN
+ * intermediates, which every kernel masks out of its exceptions,
+ * counts and results.
  */
 
 #ifndef PCE_SIMD_TILE_SOA_HH
@@ -53,8 +57,13 @@ enum Lane : int
     kLaneCount
 };
 
-/** One grow-once arena of every planar lane. */
-struct TileSoA
+/**
+ * One grow-once arena of every planar lane. Cache-line aligned: the
+ * frame pipeline keeps one arena per worker in a vector, and resize()
+ * rewrites n / stride on every tile, so two workers' headers must never
+ * share a line.
+ */
+struct alignas(64) TileSoA
 {
     std::size_t n = 0;       ///< valid pixels per lane
     std::size_t stride = 0;  ///< doubles per lane (n padded to kLaneWidth)

@@ -35,6 +35,22 @@ TEST(ShardedStealQueue, OwnShardFifoSingleLane)
         q.finishLane(7);
     }
     EXPECT_EQ(q.size(), 0u);
+
+    // Wrap-around: interleave fills and partial drains past the ring's
+    // capacity several times so its head/count arithmetic wraps.
+    ShardedStealQueue<int> ring(1, 3);
+    int next_push = 0;
+    int next_pop = 0;
+    for (int round = 0; round < 10; ++round) {
+        while (ring.size() < ring.capacity())
+            ASSERT_TRUE(ring.push(0, 7, next_push++));
+        for (int i = 0; i < 2; ++i) {
+            auto p = ring.popForShard(0);
+            ASSERT_TRUE(p.has_value());
+            EXPECT_EQ(p->value, next_pop++);
+            ring.finishLane(7);
+        }
+    }
 }
 
 TEST(ShardedStealQueue, LaneExclusivityHoldsBackSameLane)
@@ -113,20 +129,52 @@ TEST(ShardedStealQueue, PushRefusedAfterCloseQueueStillDrains)
     EXPECT_FALSE(q.popForShard(1).has_value());
 }
 
-TEST(ShardedStealQueue, BlockedPushWakesOnClose)
+TEST(ShardedStealQueue, BlockedPushAndPopWakeOnPopOrClose)
 {
-    ShardedStealQueue<int> q(2, 1);
-    ASSERT_TRUE(q.push(0, 1, 1));
-    std::atomic<bool> returned{false};
-    std::thread producer([&] {
-        EXPECT_FALSE(q.push(0, 2, 2)) << "woken by close, not space";
-        returned.store(true);
+    // A push blocked on a full shard wakes when a pop makes room (and
+    // is accepted) or when close() ends the queue (and is refused).
+    for (const bool by_close : {false, true}) {
+        ShardedStealQueue<int> q(2, 1);
+        ASSERT_TRUE(q.push(0, 1, 1));
+        std::atomic<bool> returned{false};
+        std::thread producer([&] {
+            EXPECT_EQ(q.push(0, 2, 2), !by_close)
+                << (by_close ? "woken by close, not space"
+                             : "woken by the pop's space");
+            returned.store(true);
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_FALSE(returned.load()) << "push must block while full";
+        if (by_close) {
+            q.close();
+        } else {
+            auto p = q.popForShard(0);
+            ASSERT_TRUE(p.has_value());
+            EXPECT_EQ(p->value, 1);
+            q.finishLane(p->lane);
+        }
+        producer.join();
+        EXPECT_TRUE(returned.load());
+        if (!by_close) {
+            auto p = q.popForShard(0);
+            ASSERT_TRUE(p.has_value());
+            EXPECT_EQ(p->value, 2);
+            q.finishLane(p->lane);
+        }
+    }
+
+    // A consumer blocked on an empty queue wakes on close() and ends.
+    ShardedStealQueue<int> empty(2, 1);
+    std::atomic<bool> ended{false};
+    std::thread consumer([&] {
+        EXPECT_FALSE(empty.popForShard(1).has_value());
+        ended.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(returned.load()) << "push must block while full";
-    q.close();
-    producer.join();
-    EXPECT_TRUE(returned.load());
+    EXPECT_FALSE(ended.load()) << "pop must block while empty";
+    empty.close();
+    consumer.join();
+    EXPECT_TRUE(ended.load());
 }
 
 TEST(ShardedStealQueue, PerShardBackpressureIsIndependent)

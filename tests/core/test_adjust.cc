@@ -52,7 +52,7 @@ TEST_P(AdjustAxisTest, AdjustedColorsStayInsideTheirEllipsoids)
     for (int trial = 0; trial < 60; ++trial) {
         const auto tile = randomTile(rng, 16, 0.05);
         const std::vector<double> ecc(16, rng.uniform(6.0, 35.0));
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         for (std::size_t i = 0; i < tile.size(); ++i) {
             const Ellipsoid e = model().ellipsoidFor(tile[i], ecc[i]);
             EXPECT_LE(e.membership(rgbToDkl(result.adjusted[i])),
@@ -70,7 +70,7 @@ TEST_P(AdjustAxisTest, SpreadNeverIncreases)
     for (int trial = 0; trial < 60; ++trial) {
         const auto tile = randomTile(rng, 16, 0.08);
         const std::vector<double> ecc(16, rng.uniform(6.0, 35.0));
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         EXPECT_LE(channelSpread(result.adjusted, axis),
                   channelSpread(tile, axis) + 1e-12);
     }
@@ -88,7 +88,7 @@ TEST_P(AdjustAxisTest, AdjustedColorsStayInGamut)
             tile.push_back(Vec3(rng.uniform(), rng.uniform(),
                                 rng.uniform(0.9, 1.0)));
         const std::vector<double> ecc(16, 30.0);
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         for (const Vec3 &p : result.adjusted) {
             EXPECT_GE(p.minCoeff(), -1e-12);
             EXPECT_LE(p.maxCoeff(), 1.0 + 1e-12);
@@ -105,7 +105,7 @@ TEST_P(AdjustAxisTest, Case2CollapsesChannelWithoutGamutPressure)
     const TileAdjuster adjuster(model());
     const std::vector<Vec3> tile(16, Vec3(0.5, 0.5, 0.5));
     const std::vector<double> ecc(16, 20.0);
-    const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+    const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
     EXPECT_EQ(result.adjustCase, AdjustCase::C2);
     EXPECT_NEAR(channelSpread(result.adjusted, axis), 0.0, 1e-12);
 }
@@ -120,7 +120,7 @@ TEST_P(AdjustAxisTest, NearbyColorsCollapseToCommonPlane)
     for (int trial = 0; trial < 40; ++trial) {
         const auto tile = randomTile(rng, 16, 0.004);
         const std::vector<double> ecc(16, 30.0);
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         if (result.adjustCase == AdjustCase::C2 &&
             result.gamutClampedPixels == 0) {
             EXPECT_NEAR(channelSpread(result.adjusted, axis), 0.0,
@@ -137,7 +137,7 @@ TEST_P(AdjustAxisTest, CaseClassificationMatchesPlanes)
     for (int trial = 0; trial < 40; ++trial) {
         const auto tile = randomTile(rng, 16, 0.15);
         const std::vector<double> ecc(16, rng.uniform(6.0, 35.0));
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         if (result.adjustCase == AdjustCase::C1)
             EXPECT_GT(result.hlPlane, result.lhPlane);
         else
@@ -154,7 +154,7 @@ TEST_P(AdjustAxisTest, Case1SpreadBoundedByPlaneGap)
     for (int trial = 0; trial < 200 && case1_seen < 10; ++trial) {
         const auto tile = randomTile(rng, 16, 0.3);
         const std::vector<double> ecc(16, 8.0);
-        const auto result = adjuster.adjustAlongAxis(tile, ecc, axis);
+        const auto result = adjuster.adjustTile(tile, ecc).axis(axis);
         if (result.adjustCase != AdjustCase::C1 ||
             result.gamutClampedPixels > 0)
             continue;
@@ -175,13 +175,16 @@ TEST(AdjustTile, PicksTheCheaperAxis)
         const auto tile = randomTile(rng, 16, 0.05);
         const std::vector<double> ecc(16, rng.uniform(6.0, 35.0));
         const auto result = adjuster.adjustTile(tile, ecc);
-        const std::size_t chosen_bits = bdTileBits(result.adjusted);
-        EXPECT_EQ(chosen_bits,
-                  std::min(result.bitsRed, result.bitsBlue));
+        // Each candidate's cost is the codec's accounting of its
+        // quantized pixels, and the cheaper one is kept.
+        EXPECT_EQ(result.red.bits, bdTileBits(result.red.adjusted));
+        EXPECT_EQ(result.blue.bits, bdTileBits(result.blue.adjusted));
+        EXPECT_EQ(bdTileBits(result.chosen().adjusted),
+                  std::min(result.red.bits, result.blue.bits));
         if (result.chosenAxis == 0)
-            EXPECT_LT(result.bitsRed, result.bitsBlue);
+            EXPECT_LT(result.red.bits, result.blue.bits);
         else
-            EXPECT_LE(result.bitsBlue, result.bitsRed);
+            EXPECT_LE(result.blue.bits, result.red.bits);
     }
 }
 
@@ -195,109 +198,66 @@ TEST(AdjustTile, NeverWorseThanUnadjustedBd)
         const auto tile = randomTile(rng, 16, rng.uniform(0.0, 0.1));
         const std::vector<double> ecc(16, rng.uniform(6.0, 35.0));
         const auto result = adjuster.adjustTile(tile, ecc);
-        EXPECT_LE(bdTileBits(result.adjusted), bdTileBits(tile) + 3)
+        EXPECT_LE(bdTileBits(result.chosen().adjusted),
+                  bdTileBits(tile) + 3)
             << "trial " << trial;
         // +3 bits of slack: quantization of moved colors can shift a
         // channel's range across a power-of-two boundary in rare cases.
     }
 }
 
-TEST(AdjustAlongAxis, RejectsBadInput)
+TEST(AdjustTile, RejectsSizeMismatch)
 {
     const TileAdjuster adjuster(model());
     const std::vector<Vec3> tile(4, Vec3(0.5, 0.5, 0.5));
     const std::vector<double> ecc(3, 10.0);
-    EXPECT_THROW(adjuster.adjustAlongAxis(tile, ecc, 2),
-                 std::invalid_argument);
-    const std::vector<double> ecc4(4, 10.0);
-    EXPECT_THROW(adjuster.adjustAlongAxis(tile, ecc4, 1),
-                 std::invalid_argument);
+    EXPECT_THROW(adjuster.adjustTile(tile, ecc), std::invalid_argument);
 }
 
-TEST(AdjustAlongAxis, EmptyTileIsNoop)
+TEST(AdjustTile, EmptyTileIsNoop)
 {
     const TileAdjuster adjuster(model());
-    const auto result = adjuster.adjustAlongAxis({}, {}, 2);
-    EXPECT_TRUE(result.adjusted.empty());
+    const auto result = adjuster.adjustTile({}, {});
+    EXPECT_TRUE(result.red.adjusted.empty());
+    EXPECT_TRUE(result.blue.adjusted.empty());
 }
 
-TEST(AdjustTile, ScratchFlowMatchesPerAxisComposition)
+TEST(AdjustTile, ArenaReuseAcrossTilesLeaksNoState)
 {
-    // The zero-allocation flow (ellipsoids shared across axes, fused
-    // both-axes extrema, LUT quantization) must reproduce the
-    // single-axis path bit for bit, metadata included.
-    const TileAdjuster adjuster(model());
-    Rng rng(40);
-    TileScratch scratch;
-    for (int trial = 0; trial < 40; ++trial) {
-        const auto tile = randomTile(rng, 16, rng.uniform(0.0, 0.15));
-        std::vector<double> ecc;
-        for (int i = 0; i < 16; ++i)
-            ecc.push_back(rng.uniform(6.0, 35.0));
-
-        const AxisAdjustment red =
-            adjuster.adjustAlongAxis(tile, ecc, 0);
-        const AxisAdjustment blue =
-            adjuster.adjustAlongAxis(tile, ecc, 2);
-        const std::size_t bits_red = bdTileBits(red.adjusted);
-        const std::size_t bits_blue = bdTileBits(blue.adjusted);
-
-        scratch.pixels = tile;
-        scratch.ecc = ecc;
-        const TileOutcome out = adjuster.adjustTile(scratch);
-
-        EXPECT_EQ(out.caseRed, red.adjustCase);
-        EXPECT_EQ(out.caseBlue, blue.adjustCase);
-        EXPECT_EQ(out.bitsRed, bits_red);
-        EXPECT_EQ(out.bitsBlue, bits_blue);
-        const AxisAdjustment &chosen =
-            out.chosenAxis == 0 ? red : blue;
-        EXPECT_EQ(out.gamutClampedPixels, chosen.gamutClampedPixels);
-        ASSERT_EQ(out.adjusted->size(), tile.size());
-        for (std::size_t i = 0; i < tile.size(); ++i)
-            EXPECT_EQ((*out.adjusted)[i], chosen.adjusted[i])
-                << "trial " << trial << " pixel " << i;
-    }
-}
-
-TEST(AdjustTile, ScratchReuseAcrossTilesLeaksNoState)
-{
-    // One scratch reused across tiles of varying size (including the
-    // ragged edge-tile shapes) must match fresh-scratch results.
+    // One planar arena reused across tiles of varying size (including
+    // the ragged edge-tile shapes) must match fresh-arena results.
     const TileAdjuster adjuster(model());
     Rng rng(41);
-    TileScratch reused;
+    simd::TileSoA reused;
     const std::size_t sizes[] = {16, 4, 16, 12, 8, 16, 2, 1, 16};
     for (const std::size_t n : sizes) {
         const auto tile = randomTile(rng, n, 0.08);
         const std::vector<double> ecc(n, rng.uniform(6.0, 35.0));
 
-        reused.pixels = tile;
-        reused.ecc = ecc;
+        reused.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            reused.lane(simd::kPx)[i] = tile[i].x;
+            reused.lane(simd::kPy)[i] = tile[i].y;
+            reused.lane(simd::kPz)[i] = tile[i].z;
+            reused.lane(simd::kEcc)[i] = ecc[i];
+        }
         const TileOutcome a = adjuster.adjustTile(reused);
-        const std::vector<Vec3> a_adjusted = *a.adjusted;
-
-        TileScratch fresh;
-        fresh.pixels = tile;
-        fresh.ecc = ecc;
-        const TileOutcome b = adjuster.adjustTile(fresh);
+        const TileAdjustment b = adjuster.adjustTile(tile, ecc);
 
         EXPECT_EQ(a.chosenAxis, b.chosenAxis);
-        EXPECT_EQ(a.bitsRed, b.bitsRed);
-        EXPECT_EQ(a.bitsBlue, b.bitsBlue);
-        ASSERT_EQ(a_adjusted.size(), b.adjusted->size());
+        EXPECT_EQ(a.red.bits, b.red.bits);
+        EXPECT_EQ(a.blue.bits, b.blue.bits);
+        EXPECT_EQ(a.red.gamutClampedPixels, b.red.gamutClampedPixels);
+        EXPECT_EQ(a.blue.gamutClampedPixels,
+                  b.blue.gamutClampedPixels);
+        const bool red = a.chosenAxis == 0;
+        const int x = red ? simd::kOutRedX : simd::kOutBlueX;
+        ASSERT_EQ(b.chosen().adjusted.size(), n);
         for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(a_adjusted[i], (*b.adjusted)[i]);
+            EXPECT_EQ(Vec3(reused.lane(x)[i], reused.lane(x + 1)[i],
+                           reused.lane(x + 2)[i]),
+                      b.chosen().adjusted[i]);
     }
-}
-
-TEST(AdjustTile, ScratchFlowRejectsSizeMismatch)
-{
-    const TileAdjuster adjuster(model());
-    TileScratch scratch;
-    scratch.pixels.assign(4, Vec3(0.5, 0.5, 0.5));
-    scratch.ecc.assign(3, 10.0);
-    EXPECT_THROW(adjuster.adjustTile(scratch), std::invalid_argument);
 }
 
 TEST(BdTileBits, FromCodesMatchesLinearPath)

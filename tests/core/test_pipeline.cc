@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
+#include "../support/adjust_configs.hh"
 #include "color/dkl.hh"
 #include "core/pipeline.hh"
 #include "core/quadric.hh"
@@ -254,6 +259,95 @@ TEST(Pipeline, CustomExtremaBackendIsUsed)
     for (int y = 0; y < n; ++y)
         for (int x = 0; x < n; ++x)
             EXPECT_EQ(adjusted.at(x, y), frame.at(x, y));
+}
+
+void
+expectStatsEqual(const PipelineStats &a, const PipelineStats &b)
+{
+    EXPECT_EQ(a.totalTiles, b.totalTiles);
+    EXPECT_EQ(a.fovealBypassTiles, b.fovealBypassTiles);
+    EXPECT_EQ(a.c1Tiles, b.c1Tiles);
+    EXPECT_EQ(a.c2Tiles, b.c2Tiles);
+    EXPECT_EQ(a.redAxisTiles, b.redAxisTiles);
+    EXPECT_EQ(a.blueAxisTiles, b.blueAxisTiles);
+    EXPECT_EQ(a.gamutClampedPixels, b.gamutClampedPixels);
+    EXPECT_EQ(a.saccadeBypassTiles, b.saccadeBypassTiles);
+}
+
+TEST(Pipeline, EveryModelAndBackendIsLevelAndThreadInvariant)
+{
+    // Every discrimination model and extrema backend runs the one
+    // planar tile flow, so for each of them the stream and the stats
+    // must not depend on the SIMD level or the thread count, the
+    // stream must decode losslessly, and (double-precision backends)
+    // every adjusted pixel must lie inside the ellipsoid of the model
+    // that encoded it and inside the RGB gamut. 61x47 with an
+    // off-center fixation gives ragged edge tiles and a partial fovea.
+    const int w = 61;
+    const int h = 47;
+    const ImageF frame =
+        renderScene(SceneId::Skyline, {w, h, 0, 0.0, 0});
+    DisplayGeometry g;
+    g.width = w;
+    g.height = h;
+    g.fixationX = 20.0;
+    g.fixationY = 15.0;
+    const EccentricityMap ecc(g);
+    const PipelineParams defaults;
+
+    const char *env = std::getenv("FOVE_SIMD");
+    const std::optional<std::string> saved =
+        env ? std::optional<std::string>(env) : std::nullopt;
+    for (const test::AdjustConfig &cfg : test::adjustConfigs()) {
+        SCOPED_TRACE(cfg.name);
+        std::optional<EncodedFrame> ref;
+        for (const char *level : {"off", "auto"}) {
+            for (const int threads : {1, 4}) {
+                SCOPED_TRACE(std::string(level) + " threads " +
+                             std::to_string(threads));
+                ASSERT_EQ(setenv("FOVE_SIMD", level, 1), 0);
+                PipelineParams params;
+                params.threads = threads;
+                params.extremaFn = cfg.extrema;
+                const PerceptualEncoder enc(*cfg.model, params);
+                EncodedFrame out = enc.encodeFrame(frame, ecc);
+                EXPECT_TRUE(enc.verifyRoundTrip(out));
+                if (!ref) {
+                    ref = std::move(out);
+                    continue;
+                }
+                EXPECT_EQ(out.bdStream, ref->bdStream);
+                expectStatsEqual(out.stats, ref->stats);
+            }
+        }
+        ASSERT_TRUE(ref);
+        EXPECT_GT(ref->stats.fovealBypassTiles, 0u);
+        EXPECT_LT(ref->stats.fovealBypassTiles, ref->stats.totalTiles);
+        EXPECT_EQ(BdCodec::decode(ref->bdStream), ref->adjustedSrgb);
+        if (!cfg.doublePrecision)
+            continue;
+        for (const TileRect &rect :
+             tileGrid(w, h, defaults.tileSize)) {
+            if (ecc.minInRect(rect) < defaults.fovealCutoffDeg)
+                continue;
+            for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+                for (int x = rect.x0; x < rect.x0 + rect.w; ++x) {
+                    const Vec3 &p = ref->adjustedLinear.at(x, y);
+                    const Ellipsoid e = cfg.model->ellipsoidFor(
+                        frame.at(x, y).clamped(0.0, 1.0),
+                        ecc.at(x, y));
+                    EXPECT_LE(e.membership(rgbToDkl(p)), 1.0 + 1e-6)
+                        << "pixel (" << x << "," << y << ")";
+                    EXPECT_GE(p.minCoeff(), -1e-12);
+                    EXPECT_LE(p.maxCoeff(), 1.0 + 1e-12);
+                }
+            }
+        }
+    }
+    if (saved)
+        ASSERT_EQ(setenv("FOVE_SIMD", saved->c_str(), 1), 0);
+    else
+        ASSERT_EQ(unsetenv("FOVE_SIMD"), 0);
 }
 
 } // namespace

@@ -99,8 +99,7 @@ TEST_P(AnalyticalOptimalityTest, ClosedFormBeatsIterativeSolver)
             ecc.push_back(e);
         }
 
-        const auto analytic =
-            adjuster.adjustAlongAxis(pixels, ecc, axis);
+        const auto analytic = adjuster.adjustTile(pixels, ecc).axis(axis);
         const auto iterative =
             minimizeSpreadSubgradient(pixels, ellipsoids, axis, 400);
 
@@ -135,7 +134,7 @@ TEST(ReferenceSolver, MatchesTheoreticalOptimumInCase1)
             ellipsoids.push_back(model().ellipsoidFor(p, 8.0));
             ecc.push_back(8.0);
         }
-        const auto analytic = adjuster.adjustAlongAxis(pixels, ecc, 2);
+        const auto analytic = adjuster.adjustTile(pixels, ecc).blue;
         if (analytic.adjustCase != AdjustCase::C1)
             continue;
         ++checked;
