@@ -11,6 +11,7 @@
 #ifndef PCE_BENCH_BENCH_COMMON_HH
 #define PCE_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/env.hh"
 #include "core/pipeline.hh"
@@ -66,6 +68,17 @@ benchModel()
 {
     static const AnalyticDiscriminationModel model;
     return model;
+}
+
+/** Median of @p v (upper median for even sizes; 0 when empty). */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0.0;
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
 }
 
 /** UTC timestamp, ISO 8601 — the `date` field of bench records. */

@@ -139,6 +139,66 @@ measure(const ImageF &frame, const EccentricityMap &ecc, int threads,
     return m;
 }
 
+struct TraceOverhead
+{
+    /** Medians of the untraced / traced single-frame encode rates. */
+    double offMps = 0.0;
+    double onMps = 0.0;
+    /** Median of the per-repeat on/off rate ratios. */
+    double ratio = 0.0;
+    /** Events the traced frames recorded. */
+    std::uint64_t events = 0;
+};
+
+/**
+ * Single-thread encode with tracing off vs on. Every repeat times one
+ * untraced and one traced frame back to back (alternating which goes
+ * first), so each pair shares the host's load at that moment; the
+ * ratio is taken per pair and its median reported. The off frame is
+ * the shipping default (every span is one relaxed load); the on frame
+ * pays clock reads + ring stores.
+ */
+TraceOverhead
+measureTraceOverhead(const ImageF &frame, const EccentricityMap &ecc,
+                     int repeats)
+{
+    const PerceptualEncoder encoder(bench::benchModel(), PipelineParams{});
+    const double mpix =
+        static_cast<double>(frame.pixelCount()) / 1e6;
+    EncodedFrame enc;
+    encoder.encodeFrameInto(frame, ecc, enc);  // warm-up
+    const auto timed = [&](bool traced) {
+        obs::setTraceEnabled(traced);
+        const auto t0 = Clock::now();
+        encoder.encodeFrameInto(frame, ecc, enc);
+        const auto t1 = Clock::now();
+        obs::setTraceEnabled(false);
+        if (enc.bdStream.empty())
+            std::abort();
+        return mpix / std::chrono::duration<double>(t1 - t0).count();
+    };
+
+    obs::Tracer::instance().reset();
+    std::vector<double> off;
+    std::vector<double> on;
+    std::vector<double> ratio;
+    for (int r = 0; r < repeats; ++r) {
+        const bool on_first = r % 2 == 1;
+        const double first = timed(on_first);
+        const double second = timed(!on_first);
+        off.push_back(on_first ? second : first);
+        on.push_back(on_first ? first : second);
+        ratio.push_back(on.back() / off.back());
+    }
+    TraceOverhead t;
+    t.offMps = bench::median(off);
+    t.onMps = bench::median(on);
+    t.ratio = bench::median(ratio);
+    t.events = obs::Tracer::instance().recordedEvents();
+    obs::Tracer::instance().reset();
+    return t;
+}
+
 } // namespace
 
 int
@@ -164,23 +224,7 @@ main(int argc, char **argv)
         threads > 1 ? measure(frame, ecc, threads, repeats) : single;
     const int mt_threads = threads > 1 ? threads : 1;
 
-    // Trace overhead: the same single-thread loop with tracing off vs
-    // on, measured back to back so the pair shares thermal and cache
-    // conditions. The off run is the shipping default (every span is
-    // one relaxed load); the on run pays clock reads + ring stores.
-    pce::obs::setTraceEnabled(false);
-    const Measurement trace_off = measure(frame, ecc, 1, repeats);
-    pce::obs::Tracer::instance().reset();
-    pce::obs::setTraceEnabled(true);
-    const Measurement trace_on = measure(frame, ecc, 1, repeats);
-    pce::obs::setTraceEnabled(false);
-    const std::uint64_t trace_events =
-        pce::obs::Tracer::instance().recordedEvents();
-    pce::obs::Tracer::instance().reset();
-    const double trace_ratio =
-        trace_off.encodeMps > 0.0
-            ? trace_on.encodeMps / trace_off.encodeMps
-            : 0.0;
+    const TraceOverhead trace = measureTraceOverhead(frame, ecc, repeats);
 
     std::ostringstream rec;
     rec << "  {\n"
@@ -225,12 +269,10 @@ main(int argc, char **argv)
                 ? single.decodeMps / kBaselineDecodeMps
                 : 0.0)
         << ",\n"
-        << "    \"trace_off_encode_mps_1t\": " << trace_off.encodeMps
-        << ",\n"
-        << "    \"trace_on_encode_mps_1t\": " << trace_on.encodeMps
-        << ",\n"
-        << "    \"trace_on_vs_off\": " << trace_ratio << ",\n"
-        << "    \"trace_events\": " << trace_events << "\n  }";
+        << "    \"trace_off_encode_mps_1t\": " << trace.offMps << ",\n"
+        << "    \"trace_on_encode_mps_1t\": " << trace.onMps << ",\n"
+        << "    \"trace_on_vs_off\": " << trace.ratio << ",\n"
+        << "    \"trace_events\": " << trace.events << "\n  }";
     pce::bench::appendJsonRecord(out_path, rec.str());
 
     std::cout << "simd level: "
@@ -246,9 +288,9 @@ main(int argc, char **argv)
               << "t: " << multi.encodeMps << " MP/s\n"
               << "decodeInto  " << mt_threads
               << "t: " << multi.decodeMps << " MP/s\n"
-              << "encodeFrame 1t trace off/on: " << trace_off.encodeMps
-              << " / " << trace_on.encodeMps << " MP/s (ratio "
-              << trace_ratio << ", " << trace_events << " events)\n"
+              << "encodeFrame 1t trace off/on: " << trace.offMps << " / "
+              << trace.onMps << " MP/s (median ratio " << trace.ratio
+              << ", " << trace.events << " events)\n"
               << "appended record to " << out_path << "\n";
     return 0;
 }

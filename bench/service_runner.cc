@@ -26,9 +26,11 @@
  * Knobs (environment): PCE_BENCH_WIDTH / PCE_BENCH_HEIGHT /
  * PCE_BENCH_THREADS (shared with encoder_runner), PCE_BENCH_STREAMS
  * (concurrent streams, default 4), PCE_BENCH_FRAMES (frames per
- * stream, default 12), PCE_BENCH_REPEATS (replay rounds, best-of,
- * default 3), PCE_BENCH_SHARDS (shard-count sweep list). Output
- * path: argv[1] or PCE_BENCH_OUT, default BENCH_encoder.json.
+ * stream, default 12), PCE_BENCH_REPEATS (untraced/traced replay
+ * pairs per shard count, default 3: best-of untraced for the
+ * throughput fields, median per-pair ratio for the trace overhead),
+ * PCE_BENCH_SHARDS (shard-count sweep list). Output path: argv[1] or
+ * PCE_BENCH_OUT, default BENCH_encoder.json.
  */
 
 #include <algorithm>
@@ -252,54 +254,55 @@ main(int argc, char **argv)
     const std::vector<std::size_t> sweep =
         parseShardSweep(std::getenv("PCE_BENCH_SHARDS"));
 
-    // Trace overhead: one replay round with tracing off and one with
-    // it on, back to back at the sweep's first shard count. The off
-    // number is what the shipping default pays (a relaxed load per
-    // span site); the on number adds clock reads and ring stores on
-    // the dispatcher and every pool worker.
-    obs::setTraceEnabled(false);
-    const ReplayResult trace_off =
-        replay(stream_frames, ecc, threads, sweep.front());
-    obs::Tracer::instance().reset();
-    obs::setTraceEnabled(true);
-    const ReplayResult trace_on =
-        replay(stream_frames, ecc, threads, sweep.front());
-    obs::setTraceEnabled(false);
-    const std::uint64_t trace_events =
-        obs::Tracer::instance().recordedEvents();
-    obs::Tracer::instance().reset();
-    const double trace_off_mps =
-        trace_off.wallSeconds > 0.0
-            ? trace_off.megapixels / trace_off.wallSeconds
-            : 0.0;
-    const double trace_on_mps =
-        trace_on.wallSeconds > 0.0
-            ? trace_on.megapixels / trace_on.wallSeconds
-            : 0.0;
-    const double trace_ratio =
-        trace_off_mps > 0.0 ? trace_on_mps / trace_off_mps : 0.0;
-
     std::cout << "simd level: "
               << simd::simdLevelName(simd::activeSimdLevel())
               << " (git " << PCE_GIT_REV << ")\n"
               << n_streams << " streams x " << frames_per_stream
               << " frames at " << w << "x" << h << ", " << threads
               << " threads\n"
-              << "single-shot: " << singleshot_mps << " MP/s\n"
-              << "trace off/on (shards " << sweep.front()
-              << "): " << trace_off_mps << " / " << trace_on_mps
-              << " MP/s (ratio " << trace_ratio << ", "
-              << trace_events << " events)\n";
+              << "single-shot: " << singleshot_mps << " MP/s\n";
 
     for (const std::size_t shards : sweep) {
+        // Each repeat is an untraced and a traced replay back to back
+        // (alternating which goes first), so a pair shares the host's
+        // load at that moment. The untraced rounds are the record's
+        // best-of measurement — what the shipping default (a relaxed
+        // load per span site) pays. The trace overhead is the median
+        // of the per-pair on/off ratios at this shard count; the on
+        // rounds add clock reads and ring stores on the dispatchers
+        // and every pool worker.
         ReplayResult best;
+        std::vector<double> off_mps;
+        std::vector<double> on_mps;
+        std::vector<double> ratios;
+        std::vector<double> events;
         for (int r = 0; r < repeats; ++r) {
-            const ReplayResult round =
-                replay(stream_frames, ecc, threads, shards);
-            if (best.wallSeconds == 0.0 ||
-                round.wallSeconds < best.wallSeconds)
-                best = round;
+            for (const bool traced : {r % 2 == 1, r % 2 == 0}) {
+                obs::Tracer::instance().reset();
+                obs::setTraceEnabled(traced);
+                const ReplayResult round =
+                    replay(stream_frames, ecc, threads, shards);
+                obs::setTraceEnabled(false);
+                const double mps = round.megapixels / round.wallSeconds;
+                if (traced) {
+                    on_mps.push_back(mps);
+                    events.push_back(static_cast<double>(
+                        obs::Tracer::instance().recordedEvents()));
+                } else {
+                    off_mps.push_back(mps);
+                    if (best.wallSeconds == 0.0 ||
+                        round.wallSeconds < best.wallSeconds)
+                        best = round;
+                }
+            }
+            ratios.push_back(on_mps.back() / off_mps.back());
         }
+        obs::Tracer::instance().reset();
+        const double trace_off_mps = bench::median(off_mps);
+        const double trace_on_mps = bench::median(on_mps);
+        const double trace_ratio = bench::median(ratios);
+        const auto trace_events =
+            static_cast<std::uint64_t>(bench::median(events));
         const double aggregate_mps =
             best.megapixels / best.wallSeconds;
         const double efficiency =
@@ -351,7 +354,11 @@ main(int argc, char **argv)
                   << ", occupancy " << best.occupancyMean << "\n"
                   << "  queue latency: p50 " << best.queueP50Ms
                   << " ms, p99 " << best.queueP99Ms << " ms, max "
-                  << best.queueMaxMs << " ms\n";
+                  << best.queueMaxMs << " ms\n"
+                  << "  trace off/on: " << trace_off_mps << " / "
+                  << trace_on_mps << " MP/s (median ratio "
+                  << trace_ratio << ", " << trace_events
+                  << " events)\n";
     }
     std::cout << "appended " << sweep.size() << " record(s) to "
               << out_path << "\n";

@@ -4,7 +4,10 @@
 #  1. every `src/<dir>` named in docs/ARCHITECTURE.md must exist as a
 #     directory (the layer map must not drift from the tree);
 #  2. every intra-repo markdown link in the tracked *.md files must
-#     resolve (relative to the file containing it).
+#     resolve (relative to the file containing it);
+#  3. every backticked `Type::member` reference in docs/*.md and
+#     README.md must still name identifiers of the code (deleted API
+#     must not live on in the docs).
 #
 # Exits non-zero listing every violation.
 set -euo pipefail
@@ -39,6 +42,29 @@ for md in README.md ROADMAP.md PAPER.md PAPERS.md docs/*.md; do
         fi
     done < <(grep -oE '\]\([^)]+\)' "$md" | sed 's/^](//; s/)$//')
 done
+
+# --- 3. backticked Type::member references name live identifiers ----
+# Fenced code blocks are dropped first so their ``` cannot misalign
+# the backtick pairing; a span may wrap across lines. Standard-library
+# names (std::...) are skipped. Every other component of the scoped
+# name must appear as a whole word under src/ (bench/ for the
+# pce::bench runner helpers).
+while read -r md ref; do
+    case "$ref" in std::*) continue ;; esac
+    for part in $(echo "$ref" | sed 's/::/ /g'); do
+        if ! grep -rqw -- "$part" src bench; then
+            echo "check_docs: $md names \`$ref\`, but no identifier" \
+                 "\`$part\` exists under src/ or bench/"
+            fail=1
+        fi
+    done
+done < <(perl -0777 -ne '
+    s/^```.*?^```//gms;
+    while (/`([^`]+)`/g) {
+        my $span = $1;
+        print "$ARGV $1\n"
+            while $span =~ /([A-Za-z_]\w*(?:::[A-Za-z_~]\w*)+)/g;
+    }' README.md docs/*.md | sort -u)
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED"

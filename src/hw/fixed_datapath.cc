@@ -140,6 +140,15 @@ extremaAlongAxisFixed(const Ellipsoid &e, int axis,
 {
     if (axis < 0 || axis > 2)
         throw std::invalid_argument("extremaAlongAxisFixed: bad axis");
+    // A non-finite ellipsoid (the ellipsoid of a NaN pixel) has no
+    // fixed-point representation: converting it would be undefined
+    // behaviour. Pass it through exactly as the double reference does,
+    // so the caller counts it as a gamut clamp instead of failing the
+    // frame.
+    for (std::size_t i = 0; i < 3; ++i)
+        if (!std::isfinite(e.centerDkl[i]) ||
+            !std::isfinite(e.semiAxes[i]))
+            return extremaAlongAxis(e, axis);
     const int f = config.fracBits;
 
     // Normalize the reciprocal semi-axes by the largest one so every

@@ -107,8 +107,6 @@ struct FrameDeliveryReport
     // ---- Sender-side rate-control state for the frame. Filled by
     //      deliverFrame (net/delivery.cc) after finalization, not by
     //      the reassembler; defaults describe a non-adaptive sender.
-    /** The frame ran under a RateController-derived budget. */
-    bool adaptiveRate = false;
     /** Congestion budget the frame's rounds spent, bytes per round
      *  (the policy constant when not adaptive). */
     std::size_t budgetBytesPerRound = 0;
@@ -120,8 +118,6 @@ struct FrameDeliveryReport
      *  this were shed before transmission. Infinity = nothing shed
      *  proactively (every packet admitted). */
     double cutoffEccDeg = std::numeric_limits<double>::infinity();
-    /** Wire bytes of packets never transmitted (congestion shed). */
-    std::size_t shedBytes = 0;
 };
 
 class FrameReassembler

@@ -66,47 +66,30 @@ struct StreamState
     std::size_t readyHead = 0;
     std::size_t readyCount = 0;
 
-    std::uint64_t submitted = 0;
-    std::uint64_t encoded = 0;
-    std::uint64_t collected = 0;
-    /** Frames of this stream encoded by a non-home dispatcher. */
-    std::uint64_t framesStolen = 0;
-
-    // Stats, guarded by mutex.
-    double megapixels = 0.0;
-    double encodeSeconds = 0.0;
+    /**
+     * The stream's counters, guarded by mutex: one store, incremented
+     * in place by submit (framesSubmitted), the dispatchers (encode,
+     * verify, gaze and integrity counters), and collect
+     * (framesCollected, seal quarantines). framesSubmitted /
+     * framesEncoded / framesCollected double as the flow-control
+     * counts drain and collect wait on. report() copies this struct
+     * whole; its identity and derived fields stay unset here.
+     */
+    StreamStats counters;
+    /** Every submitted frame was collected (caller holds mutex). */
+    bool allCollected() const
+    {
+        return counters.framesCollected == counters.framesSubmitted;
+    }
     /**
      * Queue-latency histogram ("stream/<name>/queue_latency_ms",
      * owned by the service's MetricsRegistry — the registry outlives
-     * the stream). Replaces the old sorted fixed-window ring: full
-     * history in fixed memory, percentiles within one bucket of exact
-     * (obs/metrics.hh), min/max/count exact. The histogram itself is
-     * lock-free; this pointer is set once at open.
+     * the stream): full history in fixed memory, percentiles within
+     * one bucket of exact (obs/metrics.hh), min/max/count exact. The
+     * histogram itself is lock-free; this pointer is set once at
+     * open.
      */
     obs::LogHistogram *latencyHist = nullptr;
-    std::uint64_t framesVerified = 0;
-    std::uint64_t corruptFrames = 0;
-    std::uint64_t saccadeFrames = 0;
-    // Mirrors of the gaze state's counters, copied under this mutex
-    // after each encode (the gaze object itself is only touched by
-    // the dispatcher holding the stream's lane, outside any lock).
-    std::uint64_t refixations = 0;
-    std::uint64_t fullRebuilds = 0;
-    std::uint64_t deferredGazeUpdates = 0;
-    // hardenIntegrity counters (see StreamStats).
-    std::uint64_t faultsDetected = 0;
-    std::uint64_t framesQuarantined = 0;
-    std::uint64_t gazeRecoveries = 0;
-    // Delivery-tier counters (recordDelivery; see StreamStats).
-    std::uint64_t framesDelivered = 0;
-    std::uint64_t framesAdaptive = 0;
-    std::uint64_t framesFovealIntact = 0;
-    std::uint64_t framesByteIdentical = 0;
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
-    double budgetBytesSum = 0.0;  ///< running sum for the mean
-    double lastEstimatedLossRate = 0.0;
-    double lastCutoffEccDeg = 0.0;
 };
 
 } // namespace detail
@@ -252,8 +235,6 @@ EncodeService::EncodeService(const DiscriminationModel &model,
         throw std::invalid_argument("EncodeService: streamDepth < 1");
     if (params_.queueCapacity < 1)
         throw std::invalid_argument("EncodeService: queueCapacity < 1");
-    if (params_.latencyWindow < 1)
-        throw std::invalid_argument("EncodeService: latencyWindow < 1");
 
     // Split the thread budget across shards as evenly as possible
     // (earlier shards take the remainder, every shard at least one
@@ -416,8 +397,8 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
                 "EncodeService::submit: service is shut down");
         slot = s.freeSlots.back();
         s.freeSlots.pop_back();
-        seq = s.submitted;
-        ++s.submitted;
+        seq = s.counters.framesSubmitted;
+        ++s.counters.framesSubmitted;
     }
 
     // The slot is exclusively ours until the request is enqueued: copy
@@ -452,7 +433,7 @@ EncodeService::submitImpl(StreamHandle handle, const ImageF &frame,
         {
             std::lock_guard<std::mutex> lock(s.mutex);
             s.freeSlots.push_back(slot);
-            --s.submitted;
+            --s.counters.framesSubmitted;
         }
         s.slotFree.notify_one();
         s.frameReady.notify_all();
@@ -501,7 +482,7 @@ EncodeService::tryCollect(StreamHandle handle)
     {
         StreamState &s = *handle.state_;
         std::lock_guard<std::mutex> lock(s.mutex);
-        if (s.collected == s.submitted)
+        if (s.allCollected())
             return FrameLease();
     }
     const std::chrono::milliseconds zero{0};
@@ -522,13 +503,13 @@ EncodeService::collectImpl(StreamHandle handle,
     const std::uint64_t collect_begin =
         tracing ? obs::traceNowNs() : 0;
     std::unique_lock<std::mutex> lock(s.mutex);
-    if (s.collected == s.submitted)
+    if (s.allCollected())
         throw std::logic_error(
             "EncodeService::collect: no frame outstanding");
     // A rolled-back submit (shutdown race) can retract the frame we
     // are waiting for, so re-check the outstanding count on wake.
     auto ready = [&] {
-        return s.readyCount > 0 || s.collected == s.submitted;
+        return s.readyCount > 0 || s.allCollected();
     };
     if (timeout) {
         if (!s.frameReady.wait_for(lock, *timeout, ready))
@@ -542,7 +523,7 @@ EncodeService::collectImpl(StreamHandle handle,
     const int slot = s.readyRing[s.readyHead];
     s.readyHead = (s.readyHead + 1) % s.readyRing.size();
     --s.readyCount;
-    ++s.collected;
+    ++s.counters.framesCollected;
     StreamState::Slot &sl = s.slots[static_cast<std::size_t>(slot)];
     if (sl.error) {
         std::exception_ptr err = sl.error;
@@ -558,8 +539,8 @@ EncodeService::collectImpl(StreamHandle handle,
     // frame — with hardening on, a corrupt frame never crosses this
     // boundary undetected.
     if (params_.hardenIntegrity && !verifyFrameSeal(sl.frame)) {
-        ++s.faultsDetected;
-        ++s.framesQuarantined;
+        ++s.counters.faultsDetected;
+        ++s.counters.framesQuarantined;
         s.freeSlots.push_back(slot);
         lock.unlock();
         s.slotFree.notify_one();
@@ -582,7 +563,9 @@ EncodeService::drain(StreamHandle handle)
             "EncodeService::drain: invalid stream handle");
     StreamState &s = *handle.state_;
     std::unique_lock<std::mutex> lock(s.mutex);
-    s.frameReady.wait(lock, [&] { return s.encoded == s.submitted; });
+    s.frameReady.wait(lock, [&] {
+        return s.counters.framesEncoded == s.counters.framesSubmitted;
+    });
 }
 
 void
@@ -636,12 +619,12 @@ EncodeService::dispatchLoop(std::size_t shard)
     // in FIFO order and steals from loaded shards when it runs dry;
     // the queue's lane exclusivity means that while this loop body
     // runs, no other dispatcher can hold a request of the same
-    // stream — the slot, the gaze state, and the stats mirrors below
-    // are effectively single-threaded per stream, handed between
-    // dispatchers through the queue mutex. finishLane() at the very
-    // end of the iteration (after the ready-ring publish) is what
-    // releases the stream's next request, so per-stream FIFO holds
-    // through the publish, not just the encode.
+    // stream — the slot and the gaze state are effectively
+    // single-threaded per stream, handed between dispatchers through
+    // the queue mutex. finishLane() at the very end of the iteration
+    // (after the ready-ring publish) is what releases the stream's
+    // next request, so per-stream FIFO holds through the publish, not
+    // just the encode.
     ShardRuntime &rt = *shards_[shard];
     // Named lazily on the first traced frame so an untraced run never
     // allocates this thread's ring (~1.3 MB at the default capacity).
@@ -762,33 +745,36 @@ EncodeService::dispatchLoop(std::size_t shard)
             std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(s.mutex);
-            ++s.encoded;
+            StreamStats &c = s.counters;
+            ++c.framesEncoded;
             if (req->stolen)
-                ++s.framesStolen;
+                ++c.framesStolen;
             if (!sl.error) {
-                s.megapixels +=
+                c.megapixels +=
                     static_cast<double>(sl.input.pixelCount()) / 1e6;
-                s.encodeSeconds += secondsBetween(start, end);
+                c.encodeSeconds += secondsBetween(start, end);
             }
             if (verified) {
-                ++s.framesVerified;
+                ++c.framesVerified;
                 if (corrupt)
-                    ++s.corruptFrames;
+                    ++c.corruptFrames;
             }
             if (saccade)
-                ++s.saccadeFrames;
+                ++c.saccadeFrames;
             if (quarantined) {
-                ++s.faultsDetected;
-                ++s.framesQuarantined;
+                ++c.faultsDetected;
+                ++c.framesQuarantined;
             }
             if (gazeRecovered) {
-                ++s.faultsDetected;
-                ++s.gazeRecoveries;
+                ++c.faultsDetected;
+                ++c.gazeRecoveries;
             }
             if (s.gaze != nullptr) {
-                s.refixations = s.gaze->refixations();
-                s.fullRebuilds = s.gaze->fullRebuilds();
-                s.deferredGazeUpdates = s.gaze->deferredUpdates();
+                // Copied from the gaze state, which only the lane
+                // holder touches and only outside this lock.
+                c.refixations = s.gaze->refixations();
+                c.fullRebuilds = s.gaze->fullRebuilds();
+                c.deferredGazeUpdates = s.gaze->deferredUpdates();
             }
             const double wait_ms =
                 secondsBetween(req->value.submitTime, start) * 1e3;
@@ -808,33 +794,6 @@ EncodeService::dispatchLoop(std::size_t shard)
         // shard) sees a consistent slot ring and gaze state.
         queue_.finishLane(req->lane);
     }
-}
-
-void
-EncodeService::recordDelivery(StreamHandle handle,
-                              const DeliverySample &sample)
-{
-    if (!handle.valid())
-        throw std::invalid_argument(
-            "EncodeService::recordDelivery: invalid stream handle");
-    StreamState &s = *handle.state_;
-    std::lock_guard<std::mutex> lock(s.mutex);
-    ++s.framesDelivered;
-    if (sample.adaptiveRate)
-        ++s.framesAdaptive;
-    if (sample.fovealIntact)
-        ++s.framesFovealIntact;
-    if (sample.byteIdentical)
-        ++s.framesByteIdentical;
-    s.deliveryBytesSent += sample.bytesSent;
-    s.deliveryShedBytes += sample.shedBytes;
-    // The budget mean only covers adaptive frames: a non-adaptive
-    // policy's SIZE_MAX "uncongested" sentinel is not a budget.
-    if (sample.adaptiveRate)
-        s.budgetBytesSum +=
-            static_cast<double>(sample.budgetBytesPerRound);
-    s.lastEstimatedLossRate = sample.estimatedLossRate;
-    s.lastCutoffEccDeg = sample.cutoffEccDeg;
 }
 
 ServiceReport
@@ -889,41 +848,14 @@ EncodeService::report() const
         const StreamState &s = *sp;
         StreamStats st;
         {
-            // Only the snapshot happens under the stream lock the
+            // Only the copy happens under the stream lock the
             // dispatcher needs; the histogram reads below are
             // lock-free.
             std::lock_guard<std::mutex> slock(s.mutex);
-            st.name = s.name;
-            st.shard = s.shard;
-            st.framesStolen = s.framesStolen;
-            st.framesSubmitted = s.submitted;
-            st.framesEncoded = s.encoded;
-            st.framesCollected = s.collected;
-            st.megapixels = s.megapixels;
-            st.encodeSeconds = s.encodeSeconds;
-            st.framesVerified = s.framesVerified;
-            st.corruptFrames = s.corruptFrames;
-            st.saccadeFrames = s.saccadeFrames;
-            st.refixations = s.refixations;
-            st.fullRebuilds = s.fullRebuilds;
-            st.deferredGazeUpdates = s.deferredGazeUpdates;
-            st.faultsDetected = s.faultsDetected;
-            st.framesQuarantined = s.framesQuarantined;
-            st.gazeRecoveries = s.gazeRecoveries;
-            st.framesDelivered = s.framesDelivered;
-            st.framesAdaptive = s.framesAdaptive;
-            st.framesFovealIntact = s.framesFovealIntact;
-            st.framesByteIdentical = s.framesByteIdentical;
-            st.deliveryBytesSent = s.deliveryBytesSent;
-            st.deliveryShedBytes = s.deliveryShedBytes;
-            st.meanBudgetBytesPerRound =
-                s.framesAdaptive > 0
-                    ? s.budgetBytesSum /
-                          static_cast<double>(s.framesAdaptive)
-                    : 0.0;
-            st.lastEstimatedLossRate = s.lastEstimatedLossRate;
-            st.lastCutoffEccDeg = s.lastCutoffEccDeg;
+            st = s.counters;
         }
+        st.name = s.name;
+        st.shard = s.shard;
         st.encodeMps = st.encodeSeconds > 0.0
                            ? st.megapixels / st.encodeSeconds
                            : 0.0;
@@ -943,10 +875,6 @@ EncodeService::report() const
         rep.faultsDetected += st.faultsDetected;
         rep.framesQuarantined += st.framesQuarantined;
         rep.gazeRecoveries += st.gazeRecoveries;
-        rep.framesDelivered += st.framesDelivered;
-        rep.framesFovealIntact += st.framesFovealIntact;
-        rep.deliveryBytesSent += st.deliveryBytesSent;
-        rep.deliveryShedBytes += st.deliveryShedBytes;
         rep.streams.push_back(std::move(st));
     }
     rep.aggregateMps = rep.wallSeconds > 0.0

@@ -49,8 +49,9 @@
  *   the caller's buffer can be reused or freed immediately. Encoded
  *   results are handed out as FrameLease RAII objects pointing at the
  *   slot's EncodedFrame; the slot returns to the free ring when the
- *   lease is dropped. Because slots, queue storage, stats windows, and
- *   every EncodedFrame buffer are allocated up front and reused, the
+ *   lease is dropped. Because slots, queue storage, latency
+ *   histograms, and every EncodedFrame buffer are allocated up front
+ *   and reused, the
  *   steady state of a same-geometry frame stream allocates nothing
  *   per frame (tests pin the buffer pointers).
  * - The EccentricityMap passed to openStream is borrowed and must
@@ -170,17 +171,6 @@ struct ServiceParams
      */
     int streamDepth = 2;
     /**
-     * Retained for compatibility; superseded by the obs migration.
-     * Queue-latency percentiles now come from a fixed-bucket
-     * LogHistogram per stream (obs/metrics.hh) that retains *every*
-     * sample in constant memory, so there is no window to size — the
-     * reported percentiles cover the stream's full history, within
-     * one histogram bucket of the exact values the old sorted window
-     * produced (the documented contract in obs/metrics.hh). Must
-     * still be >= 1 (validated as before).
-     */
-    std::size_t latencyWindow = 4096;
-    /**
      * Run PerceptualEncoder::verifyRoundTrip after every encode: the
      * BD stream is decoded back (reusing the slot's round-trip
      * buffers) and compared byte-for-byte against the encoded image —
@@ -244,35 +234,18 @@ struct GazeStreamParams
 };
 
 /**
- * One delivered frame's outcome, reported back into the stream's
- * stats by the delivery tier (DeliverySession in net/delivery.hh via
- * EncodeService::recordDelivery). Plain types only — the service
- * layer stays independent of src/net.
- */
-struct DeliverySample
-{
-    /** The frame ran under an adaptive (RateController) budget. */
-    bool adaptiveRate = false;
-    /** Congestion budget the frame's rounds spent, bytes per round. */
-    std::size_t budgetBytesPerRound = 0;
-    /** Controller's loss-rate estimate after the frame (0 when not
-     *  adaptive). */
-    double estimatedLossRate = 0.0;
-    /** Continuous foveal shed radius, degrees (infinity = no shed). */
-    double cutoffEccDeg = 0.0;
-    /** Wire bytes the delivery spent / shed before transmission. */
-    std::size_t bytesSent = 0;
-    std::size_t shedBytes = 0;
-    /** Foveal region arrived intact from the wire. */
-    bool fovealIntact = false;
-    /** Frame proven byte-identical end to end (manifest CRC). */
-    bool byteIdentical = false;
-};
-
-/**
  * Per-stream service statistics (one entry per ServiceReport).
  *
- * Consistency contract: every field of one StreamStats entry is
+ * This struct is also the stream's live counter store: the service
+ * keeps one StreamStats per stream, guarded by the stream's mutex,
+ * and submit/dispatch/collect increment its counters in place.
+ * report() copies it whole under that mutex and then fills only the
+ * identity (name, shard) and the derived fields (encodeMps, the
+ * queue-latency percentiles, latencySamples). Delivery outcomes are
+ * not here: they live in the net tier (net::DeliveryReport per frame,
+ * net::FrameReassembler lifetime counters).
+ *
+ * Consistency contract: every counter of one StreamStats entry is
  * snapshotted atomically under the owning stream's mutex — the same
  * lock dispatchers take to publish results — so an entry is always
  * internally consistent (framesCollected <= framesEncoded <=
@@ -331,27 +304,6 @@ struct StreamStats
     std::uint64_t faultsDetected = 0;
     std::uint64_t framesQuarantined = 0;
     std::uint64_t gazeRecoveries = 0;
-    /**
-     * Delivery-tier counters, fed by recordDelivery (the net tier's
-     * DeliverySession reports each delivered frame back). Zero until
-     * a delivery session runs on the stream.
-     */
-    std::uint64_t framesDelivered = 0;
-    /** Of those, frames delivered under an adaptive rate budget. */
-    std::uint64_t framesAdaptive = 0;
-    /** Frames whose foveal region arrived intact from the wire. */
-    std::uint64_t framesFovealIntact = 0;
-    /** Frames proven byte-identical end to end (manifest CRC). */
-    std::uint64_t framesByteIdentical = 0;
-    /** Wire bytes sent / shed across the stream's deliveries. */
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
-    /** Mean adaptive budget (bytes/round) over adaptive frames; 0
-     *  when none ran (a constant policy's budget is not averaged). */
-    double meanBudgetBytesPerRound = 0.0;
-    /** Latest controller loss estimate / cutoff radius reported. */
-    double lastEstimatedLossRate = 0.0;
-    double lastCutoffEccDeg = 0.0;
 };
 
 /**
@@ -453,12 +405,6 @@ struct ServiceReport
     std::uint64_t faultsDetected = 0;
     std::uint64_t framesQuarantined = 0;
     std::uint64_t gazeRecoveries = 0;
-    /** Delivery-tier aggregates, summed across streams (zero until a
-     *  delivery session reports; see StreamStats). */
-    std::uint64_t framesDelivered = 0;
-    std::uint64_t framesFovealIntact = 0;
-    std::uint64_t deliveryBytesSent = 0;
-    std::uint64_t deliveryShedBytes = 0;
 };
 
 /**
@@ -638,15 +584,6 @@ class EncodeService
      * by the destructor.
      */
     void shutdown();
-
-    /**
-     * Fold one delivered frame's outcome into the stream's stats (the
-     * delivery tier calls this once per deliverFrame; see
-     * DeliverySample). Thread-safe per the stream's mutex; callable
-     * after shutdown() — stats outlive the dispatchers.
-     */
-    void recordDelivery(StreamHandle handle,
-                        const DeliverySample &sample);
 
     /** Point-in-time statistics (safe to call at any time; see the
      *  StreamStats/ShardStats consistency contracts). */

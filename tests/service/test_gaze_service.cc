@@ -3,8 +3,9 @@
  * EncodeService gaze streams: per-frame gaze submission is
  * byte-identical to driving encodeFrameGazeInto directly, streams
  * re-fixate independently, per-frame round-trip verification and the
- * dispatcher-backlog metrics surface in the report, and the
- * gaze/static submit APIs reject mixed use.
+ * dispatcher-backlog metrics surface in the report, every report
+ * counter is pinned on one scripted workload, and the gaze/static
+ * submit APIs reject mixed use.
  */
 
 #include <gtest/gtest.h>
@@ -144,6 +145,125 @@ TEST(GazeService, StreamsRefixateIndependently)
         EXPECT_EQ(svc.collect(a)->bdStream, ref_a[i]) << i;
         EXPECT_EQ(svc.collect(b)->bdStream, ref_b[i]) << i;
     }
+}
+
+TEST(GazeService, ReportPinsEveryCounterOnAScriptedWorkload)
+{
+    // One gaze stream with the scripted saccade and one static stream
+    // on a two-shard hardened, round-trip-verified service; the gaze
+    // stream's frame 5 has one bit of its BD stream flipped after the
+    // seal, so collect() quarantines it. Every counter of the report
+    // has a known value here except the steal split, which depends on
+    // timing and is checked as a consistency relation instead.
+    const int n = 48;
+    const int frames = 8;
+    const std::uint64_t kFlipped = 5;
+    const DisplayGeometry geom = geometry(n, n);
+    const EccentricityMap ecc(geom);
+    const Workload w = workload(SceneId::Office, n, frames);
+
+    ServiceParams sp;
+    sp.threads = 2;
+    sp.shards = 2;
+    sp.verifyRoundTrip = true;
+    sp.hardenIntegrity = true;
+    sp.postEncodeFaultHook = [&](const std::string &name,
+                                 std::uint64_t frame_index,
+                                 EncodedFrame &out) {
+        if (name == "tracked" && frame_index == kFlipped)
+            out.bdStream[out.bdStream.size() / 2] ^= 0x10;
+    };
+    EncodeService svc(model(), sp);
+    StreamHandle tracked = svc.openGazeStream("tracked", geom);
+    StreamHandle fixed = svc.openStream("fixed", ecc);
+    for (int i = 0; i < frames; ++i) {
+        svc.submit(tracked, w.frames[i], w.gaze[i]);
+        svc.submit(fixed, w.frames[i]);
+        if (static_cast<std::uint64_t>(i) == kFlipped)
+            EXPECT_THROW(svc.collect(tracked), FrameQuarantined);
+        else
+            svc.collect(tracked).release();
+        svc.collect(fixed).release();
+    }
+    svc.drainAll();
+
+    const ServiceReport rep = svc.report();
+    const double frame_mp = n * n / 1e6;
+    ASSERT_EQ(rep.streams.size(), 2u);
+    std::uint64_t stream_stolen = 0;
+    for (const StreamStats &st : rep.streams) {
+        SCOPED_TRACE(st.name);
+        const bool gaze = st.name == "tracked";
+        EXPECT_EQ(st.shard, EncodeService::shardForName(st.name, 2));
+        EXPECT_EQ(st.framesSubmitted, 8u);
+        EXPECT_EQ(st.framesEncoded, 8u);
+        EXPECT_EQ(st.framesCollected, 8u);
+        EXPECT_EQ(st.latencySamples, 8u);
+        EXPECT_DOUBLE_EQ(st.megapixels, frames * frame_mp);
+        EXPECT_GT(st.encodeSeconds, 0.0);
+        EXPECT_DOUBLE_EQ(st.encodeMps, st.megapixels / st.encodeSeconds);
+        EXPECT_LE(st.queueLatencyP50Ms, st.queueLatencyP90Ms);
+        EXPECT_LE(st.queueLatencyP90Ms, st.queueLatencyP99Ms);
+        EXPECT_LE(st.queueLatencyP99Ms,
+                  st.queueLatencyMaxMs * (1.0 + 1.0 / 16.0));
+        EXPECT_EQ(st.framesVerified, 8u);
+        EXPECT_EQ(st.corruptFrames, 0u);
+        EXPECT_EQ(st.saccadeFrames, gaze ? 1u : 0u);
+        EXPECT_EQ(st.refixations, gaze ? 7u : 0u);
+        EXPECT_EQ(st.fullRebuilds, gaze ? 6u : 0u);
+        EXPECT_EQ(st.deferredGazeUpdates, gaze ? 1u : 0u);
+        EXPECT_EQ(st.faultsDetected, gaze ? 1u : 0u);
+        EXPECT_EQ(st.framesQuarantined, gaze ? 1u : 0u);
+        EXPECT_EQ(st.gazeRecoveries, 0u);
+        EXPECT_LE(st.framesStolen, st.framesEncoded);
+        stream_stolen += st.framesStolen;
+    }
+
+    EXPECT_EQ(rep.framesEncoded, 16u);
+    EXPECT_DOUBLE_EQ(rep.megapixels, 2 * frames * frame_mp);
+    EXPECT_GT(rep.wallSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(rep.aggregateMps, rep.megapixels / rep.wallSeconds);
+    EXPECT_EQ(rep.queuedRequests, 0u);
+    EXPECT_EQ(rep.queueCapacity, sp.queueCapacity);
+    EXPECT_GE(rep.queuePeakDepth, 1u);
+    EXPECT_LE(rep.queuePeakDepth, rep.queueCapacity);
+    EXPECT_EQ(rep.stolenFrames, stream_stolen);
+    EXPECT_EQ(rep.corruptFrames, 0u);
+    EXPECT_EQ(rep.faultsDetected, 1u);
+    EXPECT_EQ(rep.framesQuarantined, 1u);
+    EXPECT_EQ(rep.gazeRecoveries, 0u);
+
+    ASSERT_EQ(rep.shards.size(), 2u);
+    std::size_t homed = 0;
+    std::uint64_t encoded = 0;
+    std::uint64_t stolen = 0;
+    std::uint64_t stolen_from = 0;
+    std::uint64_t queued = 0;
+    std::uint64_t residency = 0;
+    for (std::size_t i = 0; i < rep.shards.size(); ++i) {
+        const ShardStats &sh = rep.shards[i];
+        SCOPED_TRACE("shard " + std::to_string(i));
+        EXPECT_EQ(sh.shard, i);
+        EXPECT_EQ(sh.participants, 1);
+        EXPECT_EQ(sh.queueDepth, 0u);
+        EXPECT_EQ(sh.queueCapacity, sp.queueCapacity / 2);
+        EXPECT_LE(sh.queuePeakDepth, sh.queueCapacity);
+        EXPECT_EQ(sh.busySeconds > 0.0, sh.framesEncoded > 0);
+        EXPECT_DOUBLE_EQ(sh.occupancy, sh.busySeconds / rep.wallSeconds);
+        EXPECT_EQ(sh.poolDispatches, 0u);  // one participant: no pool
+        homed += sh.streamsHomed;
+        encoded += sh.framesEncoded;
+        stolen += sh.framesStolen;
+        stolen_from += sh.framesStolenFrom;
+        queued += sh.framesQueued;
+        residency += sh.residencySamples;
+    }
+    EXPECT_EQ(homed, 2u);
+    EXPECT_EQ(encoded, 16u);
+    EXPECT_EQ(queued, 16u);
+    EXPECT_EQ(residency, 16u);
+    EXPECT_EQ(stolen, rep.stolenFrames);
+    EXPECT_EQ(stolen_from, rep.stolenFrames);
 }
 
 TEST(GazeService, MixedSubmitApisAreRejected)

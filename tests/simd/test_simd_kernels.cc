@@ -522,11 +522,12 @@ TEST_P(SimdLevelTest, NanPixelsCountAndPlaceIdentically)
 {
     // A NaN input pixel (upstream renderer bug) must flow through the
     // kernels exactly like the Scalar level, for every model and
-    // extrema backend: same gamut-clamp count (C++ != is
-    // unordered-true, so NaN movements count) and bitwise-identical
-    // candidate lanes (NaN payloads included — compare
-    // representations, not values). A backend that rejects the NaN
-    // ellipsoid must reject it at both levels alike.
+    // extrema backend: no configuration rejects the tile (the
+    // fixed-point datapath passes a non-finite ellipsoid through like
+    // the double reference), both NaN pixels count as gamut clamps on
+    // both candidates (C++ != is unordered-true, so NaN movements
+    // count), and the candidate lanes are bitwise-identical (NaN
+    // payloads included — compare representations, not values).
     for (const test::AdjustConfig &cfg : test::adjustConfigs()) {
         SCOPED_TRACE(cfg.name);
         const TileAdjuster scalar(*cfg.model, cfg.extrema,
@@ -546,22 +547,14 @@ TEST_P(SimdLevelTest, NanPixelsCountAndPlaceIdentically)
             fillSoA(b, tile, ecc);
             TileOutcome oa;
             TileOutcome ob;
-            std::string err_a;
-            std::string err_b;
-            try {
-                oa = level.adjustTile(a);
-            } catch (const std::exception &e) {
-                err_a = e.what();
-            }
-            try {
-                ob = scalar.adjustTile(b);
-            } catch (const std::exception &e) {
-                err_b = e.what();
-            }
-            ASSERT_EQ(err_a, err_b) << "trial " << trial;
-            if (!err_a.empty())
-                continue;
+            ASSERT_NO_THROW(oa = level.adjustTile(a))
+                << "trial " << trial;
+            ASSERT_NO_THROW(ob = scalar.adjustTile(b))
+                << "trial " << trial;
             expectOutcomesEqual(oa, ob);
+            EXPECT_GE(oa.red.gamutClampedPixels, 2) << "trial " << trial;
+            EXPECT_GE(oa.blue.gamutClampedPixels, 2)
+                << "trial " << trial;
             expectLanesBitEqual(a, b, simd::kOutRedX, 6,
                                 "trial " + std::to_string(trial));
         }
