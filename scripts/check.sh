@@ -133,11 +133,15 @@ echo "== Concurrency suites under ThreadSanitizer =="
 # queue/pool primitives, the parallel BD encode (chunks write one
 # shared output buffer and meet at seam bytes), plus every service and
 # net suite that drives concurrent dispatchers, so a data race in the
-# steal protocol or at a chunk seam fails the run loudly.
+# steal protocol or at a chunk seam fails the run loudly. The gaze and
+# pipeline suites are here because re-fixation and the fused
+# adjust + quantize pass split their rows across pool workers.
 cmake -B build-tsan -S . -DFOVE_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j"$JOBS" --target \
     common_test_sharded_queue common_test_thread_pool \
     bd_test_bd_parallel \
+    gaze_test_incremental_ecc gaze_test_gaze_pipeline \
+    core_test_pipeline \
     service_test_sharded_service service_test_encode_service \
     service_test_gaze_service service_test_collect_timeout \
     service_test_fault_service \
@@ -145,6 +149,8 @@ cmake --build build-tsan -j"$JOBS" --target \
     obs_test_trace obs_test_metrics obs_test_frame_trace
 for suite in common_test_sharded_queue common_test_thread_pool \
              bd_test_bd_parallel \
+             gaze_test_incremental_ecc gaze_test_gaze_pipeline \
+             core_test_pipeline \
              service_test_sharded_service service_test_encode_service \
              service_test_gaze_service service_test_collect_timeout \
              service_test_fault_service \

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "color/srgb.hh"
 #include "common/integrity.hh"
 #include "obs/trace.hh"
 
@@ -16,6 +17,9 @@ namespace {
  * the atomic counter is off the critical path.
  */
 constexpr std::size_t kTileGrain = 8;
+
+/** Rows claimed per grab of the saccade frame's copy + quantize. */
+constexpr std::size_t kRowGrain = 8;
 
 } // namespace
 
@@ -62,7 +66,8 @@ void
 PerceptualEncoder::adjustFrameInto(const ImageF &frame,
                                    const EccentricityMap &ecc,
                                    ImageF &out,
-                                   PipelineStats *stats_out) const
+                                   PipelineStats *stats_out,
+                                   ImageU8 *srgb) const
 {
     if (frame.width() != ecc.width() || frame.height() != ecc.height())
         throw std::invalid_argument(
@@ -75,6 +80,9 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
     if (out.width() != frame.width() ||
         out.height() != frame.height())
         out = ImageF(frame.width(), frame.height());
+    if (srgb != nullptr && (srgb->width() != frame.width() ||
+                            srgb->height() != frame.height()))
+        *srgb = ImageU8(frame.width(), frame.height());
 
     // Geometry-keyed tile-grid cache (same pattern as
     // BdEncodeScratch.tiles): a stream of same-size frames must not
@@ -140,9 +148,13 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
             // alone, before any pixel is gathered.
             if (ecc.minInRect(rect) < params_.fovealCutoffDeg) {
                 ++stats.fovealBypassTiles;
-                for (int y = rect.y0; y < rect.y0 + rect.h; ++y)
-                    std::copy_n(&frame.at(rect.x0, y), rect.w,
-                                &out.at(rect.x0, y));
+                for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+                    const Vec3 *src = &frame.at(rect.x0, y);
+                    std::copy_n(src, rect.w, &out.at(rect.x0, y));
+                    if (srgb != nullptr)
+                        linearToSrgb8(src, rect.w,
+                                      srgb->pixel(rect.x0, y));
+                }
                 continue;
             }
 
@@ -175,7 +187,8 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
             stats.gamutClampedPixels +=
                 static_cast<std::size_t>(chosen.gamutClampedPixels);
 
-            // Adjusted pixels go straight into the output rows.
+            // Adjusted pixels go straight into the output rows, and
+            // their sRGB codes into the quantized rows.
             const bool red = adj.chosenAxis == 0;
             const double *ox =
                 s.lane(red ? simd::kOutRedX : simd::kOutBlueX);
@@ -185,6 +198,9 @@ PerceptualEncoder::adjustFrameInto(const ImageF &frame,
                 s.lane(red ? simd::kOutRedZ : simd::kOutBlueZ);
             k = 0;
             for (int y = rect.y0; y < rect.y0 + rect.h; ++y) {
+                if (srgb != nullptr)
+                    linearToSrgb8Planar(ox + k, oy + k, oz + k, rect.w,
+                                        srgb->pixel(rect.x0, y));
                 Vec3 *row = &out.at(rect.x0, y);
                 for (int x = 0; x < rect.w; ++x, ++k)
                     row[x] = Vec3(ox[k], oy[k], oz[k]);
@@ -224,11 +240,8 @@ PerceptualEncoder::encodeFrameInto(const ImageF &frame,
     out.seal = FrameSeal{};
     {
         obs::TraceSpan span("encode/adjust");
-        adjustFrameInto(frame, ecc, out.adjustedLinear, &out.stats);
-    }
-    {
-        obs::TraceSpan span("encode/quantize");
-        toSrgb8Into(out.adjustedLinear, out.adjustedSrgb);
+        adjustFrameInto(frame, ecc, out.adjustedLinear, &out.stats,
+                        &out.adjustedSrgb);
     }
     obs::TraceSpan span("encode/bd");
     codec_.encodeInto(out.adjustedSrgb, &out.bdStats, out.bdStream,
@@ -260,7 +273,7 @@ PerceptualEncoder::encodeFrameGazeInto(const ImageF &frame,
     GazePhase phase;
     {
         obs::TraceSpan span("encode/gaze_update");
-        phase = gaze.update(sample);
+        phase = gaze.update(sample, nullptr, pool_, params_.threads);
     }
     if (phase == GazePhase::Fixation) {
         encodeFrameInto(frame, gaze.map(), out);
@@ -268,18 +281,38 @@ PerceptualEncoder::encodeFrameGazeInto(const ImageF &frame,
     }
 
     // Saccadic suppression: every tile takes the bypass path — one
-    // frame-wide copy instead of the per-tile adjustment loop, then
-    // the unchanged quantize + BD encode.
+    // frame-wide row pass that copies and quantizes instead of the
+    // per-tile adjustment loop, then the unchanged BD encode.
     out.seal = FrameSeal{};
     {
         // The bypass span plays the role of encode/adjust in the
         // frame timeline: same slot, different (cheaper) work.
         obs::TraceSpan span("encode/saccade_bypass");
-        if (out.adjustedLinear.width() != frame.width() ||
-            out.adjustedLinear.height() != frame.height())
-            out.adjustedLinear = ImageF(frame.width(), frame.height());
-        std::copy(frame.pixels().begin(), frame.pixels().end(),
-                  out.adjustedLinear.pixels().begin());
+        const int w = frame.width();
+        const int h = frame.height();
+        if (out.adjustedLinear.width() != w ||
+            out.adjustedLinear.height() != h)
+            out.adjustedLinear = ImageF(w, h);
+        if (out.adjustedSrgb.width() != w ||
+            out.adjustedSrgb.height() != h)
+            out.adjustedSrgb = ImageU8(w, h);
+        const std::size_t row_px = static_cast<std::size_t>(w);
+        const auto rows = [&](std::size_t y0, std::size_t y1, int) {
+            const std::size_t first = y0 * row_px;
+            const std::size_t n = (y1 - y0) * row_px;
+            const Vec3 *src = frame.pixels().data() + first;
+            std::copy_n(src, n,
+                        out.adjustedLinear.pixels().data() + first);
+            linearToSrgb8(src, n,
+                          out.adjustedSrgb.data().data() + 3 * first);
+        };
+        const int participants =
+            std::max(1, std::min(params_.threads, h));
+        if (participants == 1)
+            rows(0, static_cast<std::size_t>(h), 0);
+        else
+            pool_->parallelFor(static_cast<std::size_t>(h), kRowGrain,
+                               participants, rows);
         const std::size_t tiles =
             static_cast<std::size_t>(
                 (frame.width() + params_.tileSize - 1) /
@@ -290,10 +323,6 @@ PerceptualEncoder::encodeFrameGazeInto(const ImageF &frame,
         out.stats = PipelineStats{};
         out.stats.totalTiles = tiles;
         out.stats.saccadeBypassTiles = tiles;
-    }
-    {
-        obs::TraceSpan span("encode/quantize");
-        toSrgb8Into(out.adjustedLinear, out.adjustedSrgb);
     }
     obs::TraceSpan span("encode/bd");
     codec_.encodeInto(out.adjustedSrgb, &out.bdStats, out.bdStream,

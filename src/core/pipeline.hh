@@ -184,12 +184,22 @@ class PerceptualEncoder
      * adjustFrame into a caller-owned output image. @p out is resized
      * only when the frame dimensions change, so a stream of same-size
      * frames reuses one allocation. @p out must not alias @p frame.
+     *
+     * With @p srgb set, the tile pass also quantizes: each tile writes
+     * the 8-bit sRGB codes of the rows it produces (adjusted or
+     * bypassed) next to the linear ones, so @p srgb equals
+     * toSrgb8(@p out) byte for byte without a second frame-wide pass.
+     * @p srgb is resized like @p out.
      */
     void adjustFrameInto(const ImageF &frame,
                          const EccentricityMap &ecc, ImageF &out,
-                         PipelineStats *stats_out = nullptr) const;
+                         PipelineStats *stats_out = nullptr,
+                         ImageU8 *srgb = nullptr) const;
 
-    /** Full pipeline: adjust, quantize, BD-encode, account bits. */
+    /**
+     * Full pipeline: adjust and quantize in one parallel tile pass,
+     * BD-encode, account bits.
+     */
     EncodedFrame encodeFrame(const ImageF &frame,
                              const EccentricityMap &ecc) const;
 
@@ -210,10 +220,12 @@ class PerceptualEncoder
      * gaze/incremental_ecc.hh for the exactness contract), and encode
      * the frame against it. During a saccade the visual system
      * suppresses perception, so the encoder switches every tile to the
-     * cheap bypass path — the frame is quantized and BD-encoded
-     * unadjusted (still losslessly decodable), skipping both the
-     * per-tile adjustment math and the map update for that frame;
-     * PipelineStats::saccadeBypassTiles records it.
+     * cheap bypass path — the frame is copied and quantized in one
+     * parallel row pass and BD-encoded unadjusted (still losslessly
+     * decodable), skipping both the per-tile adjustment math and the
+     * map update for that frame; PipelineStats::saccadeBypassTiles
+     * records it. Every stage (re-fixation, adjust + quantize, BD)
+     * runs on the encoder's pool.
      *
      * @p gaze is the caller's per-stream state (one per frame source;
      * the encode service keeps one per gaze stream) and is mutated —

@@ -6,8 +6,20 @@
 #include <stdexcept>
 
 #include "common/integrity.hh"
+#include "common/thread_pool.hh"
 
 namespace pce {
+
+namespace {
+
+/**
+ * Rows claimed per scheduler grab of the band recompute. Band rows
+ * cost up to a few hundred eccentricity evaluations, border-column
+ * rows only a few; small grabs keep the participants level.
+ */
+constexpr std::size_t kBandRowGrain = 4;
+
+} // namespace
 
 IncrementalEccentricity::IncrementalEccentricity(
     const DisplayGeometry &geom, const IncrementalEccParams &params)
@@ -96,7 +108,8 @@ IncrementalEccentricity::exactBandRadiusPx() const
 
 void
 IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
-                                  double fix_y, RefixStats *stats)
+                                  double fix_y, RefixStats *stats,
+                                  ThreadPool *pool, int participants)
 {
     const int w = geom_.width;
     const int h = geom_.height;
@@ -129,7 +142,7 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
         accumulated_ + step > params_.maxAccumulatedErrorDeg ||
         std::abs(dxi) >= w || std::abs(dyi) >= h) {
         // Fallback: exact full rebuild, reusing the map's storage.
-        map.rebuild(geom_);
+        map.rebuild(geom_, pool, participants);
         accumulated_ = 0.0;
         st.fullRebuild = true;
         st.recomputedPixels =
@@ -172,32 +185,34 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
     st.accumulatedErrorBoundDeg = accumulated_;
 
     // ---- 2. recompute the bands the shift cannot supply ------------
-    const auto recompute = [&](int x0, int y0, int x1, int y1) {
+    // Up to three rectangles, recomputed in one row pass: each row is
+    // written by one participant, which also covers the rows where
+    // two bands overlap.
+    TileRect bands[3];
+    int n_bands = 0;
+    const auto addBand = [&](int x0, int y0, int x1, int y1) {
         x0 = std::max(x0, 0);
         y0 = std::max(y0, 0);
         x1 = std::min(x1, w);
         y1 = std::min(y1, h);
-        for (int y = y0; y < y1; ++y) {
-            double *r = row(y);
-            for (int x = x0; x < x1; ++x)
-                r[x] = geom_.eccentricityDeg(x, y);
-        }
-        if (x1 > x0 && y1 > y0)
-            st.recomputedPixels += static_cast<std::size_t>(x1 - x0) *
-                                   static_cast<std::size_t>(y1 - y0);
+        if (x1 <= x0 || y1 <= y0)
+            return;
+        bands[n_bands++] = TileRect{x0, y0, x1 - x0, y1 - y0};
+        st.recomputedPixels += static_cast<std::size_t>(x1 - x0) *
+                               static_cast<std::size_t>(y1 - y0);
     };
 
     // Incoming border rows/columns (no source under the shift).
     if (dyi > 0)
-        recompute(0, 0, w, dyi);
+        addBand(0, 0, w, dyi);
     else if (dyi < 0)
-        recompute(0, h + dyi, w, h);
+        addBand(0, h + dyi, w, h);
     const int mid_y0 = std::max(0, dyi);
     const int mid_y1 = std::min(h, h + dyi);
     if (dxi > 0)
-        recompute(0, mid_y0, dxi, mid_y1);
+        addBand(0, mid_y0, dxi, mid_y1);
     else if (dxi < 0)
-        recompute(w + dxi, mid_y0, w, mid_y1);
+        addBand(w + dxi, mid_y0, w, mid_y1);
 
     // The always-exact foveal band around the new fixation.
     const double radius = exactBandRadiusPx();
@@ -209,8 +224,33 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
         w, static_cast<int>(std::ceil(cx + radius)) + 1);
     const int by1 = std::min(
         h, static_cast<int>(std::ceil(cy + radius)) + 1);
-    recompute(bx0, by0, bx1, by1);
+    addBand(bx0, by0, bx1, by1);
     st.exactRect = TileRect{bx0, by0, bx1 - bx0, by1 - by0};
+
+    int ry0 = h, ry1 = 0;
+    for (int b = 0; b < n_bands; ++b) {
+        ry0 = std::min(ry0, bands[b].y0);
+        ry1 = std::max(ry1, bands[b].y0 + bands[b].h);
+    }
+    const auto rows = [&](std::size_t begin, std::size_t end, int) {
+        for (int y = ry0 + static_cast<int>(begin);
+             y < ry0 + static_cast<int>(end); ++y) {
+            double *r = row(y);
+            for (int b = 0; b < n_bands; ++b) {
+                const TileRect &band = bands[b];
+                if (y < band.y0 || y >= band.y0 + band.h)
+                    continue;
+                for (int x = band.x0; x < band.x0 + band.w; ++x)
+                    r[x] = geom_.eccentricityDeg(x, y);
+            }
+        }
+    };
+    const std::size_t n_rows =
+        static_cast<std::size_t>(std::max(0, ry1 - ry0));
+    if (pool != nullptr && participants > 1 && n_rows > 1)
+        pool->parallelFor(n_rows, kBandRowGrain, participants, rows);
+    else
+        rows(0, n_rows, 0);
 
     if (stats)
         *stats = st;
@@ -218,7 +258,8 @@ IncrementalEccentricity::refixate(EccentricityMap &map, double fix_x,
 
 void
 IncrementalEccentricity::rebuildAt(EccentricityMap &map, double fix_x,
-                                   double fix_y)
+                                   double fix_y, ThreadPool *pool,
+                                   int participants)
 {
     if (map.width() != geom_.width || map.height() != geom_.height)
         throw std::invalid_argument(
@@ -228,7 +269,7 @@ IncrementalEccentricity::rebuildAt(EccentricityMap &map, double fix_x,
         fix_x, 0.0, static_cast<double>(geom_.width - 1));
     geom_.fixationY = std::clamp(
         fix_y, 0.0, static_cast<double>(geom_.height - 1));
-    map.rebuild(geom_);
+    map.rebuild(geom_, pool, participants);
     accumulated_ = 0.0;
 }
 
@@ -241,7 +282,8 @@ GazeTrackedEccentricity::GazeTrackedEccentricity(
 
 GazePhase
 GazeTrackedEccentricity::update(const GazeSample &sample,
-                                RefixStats *stats)
+                                RefixStats *stats, ThreadPool *pool,
+                                int participants)
 {
     phase_ = classifier_.update(sample);
     if (phase_ == GazePhase::Saccade) {
@@ -254,7 +296,8 @@ GazeTrackedEccentricity::update(const GazeSample &sample,
             *stats = RefixStats{};
         return phase_;
     }
-    updater_.refixate(map_, sample.x, sample.y, &lastRefix_);
+    updater_.refixate(map_, sample.x, sample.y, &lastRefix_, pool,
+                      participants);
     ++refixations_;
     if (lastRefix_.fullRebuild)
         ++fullRebuilds_;
@@ -298,14 +341,16 @@ GazeTrackedEccentricity::verifyState() const
 }
 
 bool
-GazeTrackedEccentricity::verifyAndRecoverState()
+GazeTrackedEccentricity::verifyAndRecoverState(ThreadPool *pool,
+                                               int participants)
 {
     if (verifyState())
         return true;
     // The sealed fixation is the last state known good; an exact
     // rebuild there restores a bit-identical map when the sealed map
     // was itself exact, and an error-bound-free one otherwise.
-    updater_.rebuildAt(map_, seal_.fixX, seal_.fixY);
+    updater_.rebuildAt(map_, seal_.fixX, seal_.fixY, pool,
+                       participants);
     ++recoveries_;
     sealState();
     return false;

@@ -115,8 +115,12 @@ struct RefixStats
  * In-place re-fixation of one EccentricityMap (see file comment for
  * the algorithm and contract). One updater drives one map: it tracks
  * the error bound accumulated in that map since its last exact state.
- * Not thread-safe; a per-stream owner (service slot, frame loop) calls
- * it from one thread at a time.
+ * One caller at a time (a per-stream owner: service slot, frame
+ * loop), which may fan out to a pool: with a ThreadPool and
+ * participants > 1 the exact-band recompute and the full rebuild
+ * split their rows across participants, each writing its own rows
+ * with the same per-pixel expression, so the map is bit-identical to
+ * the serial update. The in-place shift stays serial.
  */
 class IncrementalEccentricity
 {
@@ -134,10 +138,13 @@ class IncrementalEccentricity
      * Re-fixate @p map in place to (@p fix_x, @p fix_y), clamped into
      * the display. The map must match the constructor geometry's
      * dimensions (throws std::invalid_argument otherwise).
-     * Allocation-free in the steady state.
+     * Allocation-free in the steady state. @p pool / @p participants
+     * parallelize the recompute (see the class comment; default
+     * serial).
      */
     void refixate(EccentricityMap &map, double fix_x, double fix_y,
-                  RefixStats *stats = nullptr);
+                  RefixStats *stats = nullptr, ThreadPool *pool = nullptr,
+                  int participants = 1);
 
     /**
      * Exact full rebuild of @p map at (@p fix_x, @p fix_y), clamped
@@ -146,8 +153,10 @@ class IncrementalEccentricity
      * integrity-recovery primitive: a map whose checksum no longer
      * matches (a bit flip, or writes through EccentricityMap::data())
      * is restored to a known-exact state at the given fixation.
+     * @p pool / @p participants split the rebuild's rows.
      */
-    void rebuildAt(EccentricityMap &map, double fix_x, double fix_y);
+    void rebuildAt(EccentricityMap &map, double fix_x, double fix_y,
+                   ThreadPool *pool = nullptr, int participants = 1);
 
     /**
      * Rigorous per-step error bound (degrees) of re-fixating by shift
@@ -199,9 +208,12 @@ class GazeTrackedEccentricity
     /**
      * Classify @p sample and bring the map up to date for it (unless
      * the sample is mid-saccade, see above). Returns the phase.
+     * @p pool / @p participants parallelize the re-fixation
+     * (IncrementalEccentricity::refixate; default serial).
      */
     GazePhase update(const GazeSample &sample,
-                     RefixStats *stats = nullptr);
+                     RefixStats *stats = nullptr,
+                     ThreadPool *pool = nullptr, int participants = 1);
 
     const EccentricityMap &map() const { return map_; }
     const IncrementalEccentricity &updater() const { return updater_; }
@@ -251,9 +263,11 @@ class GazeTrackedEccentricity
      * SEU cross-section next to the W*H doubles of the map, and a
      * corrupted classifier misroutes at most one frame's phase.
      * Returns true when the state was intact, false when it was
-     * recovered (callers may count the detection).
+     * recovered (callers may count the detection). @p pool /
+     * @p participants split the recovery rebuild's rows.
      */
-    bool verifyAndRecoverState();
+    bool verifyAndRecoverState(ThreadPool *pool = nullptr,
+                               int participants = 1);
 
     /** Recoveries performed by verifyAndRecoverState(). */
     std::uint64_t integrityRecoveries() const { return recoveries_; }

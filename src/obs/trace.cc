@@ -24,7 +24,31 @@ std::atomic<std::uint64_t> g_seq{0};
 
 thread_local TraceTag t_ambientTag;
 
-thread_local TraceRecorder *t_recorder = nullptr;
+} // namespace
+
+namespace detail {
+
+/**
+ * The calling thread's recorder. Its destructor runs at thread exit
+ * and retires the recorder: the events stay collectable until the
+ * next Tracer::reset(), which frees the ring.
+ */
+struct ThreadRecorderSlot
+{
+    TraceRecorder *recorder = nullptr;
+
+    ~ThreadRecorderSlot()
+    {
+        if (recorder != nullptr)
+            Tracer::instance().retire(*recorder);
+    }
+};
+
+} // namespace detail
+
+namespace {
+
+thread_local detail::ThreadRecorderSlot t_slot;
 
 } // namespace
 
@@ -94,13 +118,20 @@ Tracer::instance()
 TraceRecorder &
 Tracer::recorder()
 {
-    if (t_recorder != nullptr)
-        return *t_recorder;
+    if (t_slot.recorder != nullptr)
+        return *t_slot.recorder;
     std::lock_guard<std::mutex> lock(mutex_);
-    recorders_.push_back(std::make_unique<TraceRecorder>(
-        static_cast<std::uint32_t>(recorders_.size()), capacity_));
-    t_recorder = recorders_.back().get();
-    return *t_recorder;
+    recorders_.push_back(
+        std::make_unique<TraceRecorder>(nextTid_++, capacity_));
+    t_slot.recorder = recorders_.back().get();
+    return *t_slot.recorder;
+}
+
+void
+Tracer::retire(TraceRecorder &rec)
+{
+    std::lock_guard<std::mutex> lock(rec.mutex_);
+    rec.retired_ = true;
 }
 
 void
@@ -186,10 +217,13 @@ void
 Tracer::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &rp : recorders_) {
+    // Exited threads' recorders go (their events were this trace's
+    // last use of them); live threads keep theirs, cleared.
+    std::erase_if(recorders_, [](const std::unique_ptr<TraceRecorder> &rp) {
         std::lock_guard<std::mutex> rlock(rp->mutex_);
         rp->total_ = 0;
-    }
+        return rp->retired_;
+    });
 }
 
 void

@@ -116,11 +116,15 @@ std::uint64_t traceNowNs();
  *  timebase (e.g. a request's submitTime). */
 std::uint64_t traceToNs(std::chrono::steady_clock::time_point tp);
 
+namespace detail {
+struct ThreadRecorderSlot;
+} // namespace detail
+
 /**
  * One thread's fixed-capacity event ring. Owned by the Tracer registry
- * (recorders outlive their threads so collect() after a producer
- * exits still sees its events); threads reach theirs through
- * Tracer::recorder(), cached in a thread_local.
+ * (a recorder outlives its thread until the next Tracer::reset(), so
+ * collect() after a producer exits still sees its events); threads
+ * reach theirs through Tracer::recorder(), cached in a thread_local.
  */
 class TraceRecorder
 {
@@ -144,6 +148,7 @@ class TraceRecorder
     std::uint64_t total_ = 0;       ///< ring[total_ % cap] is next
     std::uint32_t tid_ = 0;
     std::string threadName_;        ///< optional (nameThread)
+    bool retired_ = false;          ///< owning thread has exited
 };
 
 /**
@@ -179,14 +184,20 @@ class Tracer
     std::uint64_t recordedEvents() const;
     std::uint64_t droppedEvents() const;
 
-    /** Threads that have recorded (or been named) so far. */
+    /**
+     * Recorders currently held: every live thread that has recorded
+     * (or been named), plus threads that exited since the last
+     * reset().
+     */
     std::size_t threadCount() const;
 
     /**
-     * Clear every recorder's ring and counters (recorders and their
-     * tids survive — live threads keep their cached recorder). Not a
-     * barrier: events recorded concurrently with reset() land in
-     * either the old or the new trace.
+     * Clear every recorder's ring and counters. Live threads keep
+     * their recorder and tid; the recorders of exited threads are
+     * freed, so a process that keeps spawning short-lived recording
+     * threads holds at most one ring per thread alive since the last
+     * reset. Not a barrier: events recorded concurrently with reset()
+     * land in either the old or the new trace.
      */
     void reset();
 
@@ -199,10 +210,17 @@ class Tracer
     std::size_t capacityPerThread() const;
 
   private:
+    friend struct detail::ThreadRecorderSlot;
+
     Tracer() = default;
 
-    mutable std::mutex mutex_;  ///< guards recorders_ and capacity_
+    /** Mark @p rec's thread as exited (called at thread exit). */
+    void retire(TraceRecorder &rec);
+
+    /** Guards recorders_, nextTid_ and capacity_. */
+    mutable std::mutex mutex_;
     std::vector<std::unique_ptr<TraceRecorder>> recorders_;
+    std::uint32_t nextTid_ = 0;
     std::size_t capacity_ = 16384;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.hh"
+
 namespace pce {
 
 double
@@ -43,7 +45,8 @@ EccentricityMap::EccentricityMap(const DisplayGeometry &geom)
 }
 
 void
-EccentricityMap::rebuild(const DisplayGeometry &geom)
+EccentricityMap::rebuild(const DisplayGeometry &geom, ThreadPool *pool,
+                         int participants)
 {
     width_ = geom.width;
     height_ = geom.height;
@@ -53,10 +56,17 @@ EccentricityMap::rebuild(const DisplayGeometry &geom)
     // the size is unchanged): a same-size rebuild — the per-frame
     // re-fixation fallback — never reallocates.
     ecc_.resize(static_cast<std::size_t>(width_) * height_);
-    for (int y = 0; y < height_; ++y)
-        for (int x = 0; x < width_; ++x)
-            ecc_[static_cast<std::size_t>(y) * width_ + x] =
-                geom.eccentricityDeg(x, y);
+    const auto rows = [&](std::size_t y0, std::size_t y1, int) {
+        for (int y = static_cast<int>(y0); y < static_cast<int>(y1); ++y)
+            for (int x = 0; x < width_; ++x)
+                ecc_[static_cast<std::size_t>(y) * width_ + x] =
+                    geom.eccentricityDeg(x, y);
+    };
+    if (pool != nullptr && participants > 1 && height_ > 1)
+        pool->parallelFor(static_cast<std::size_t>(height_), 4,
+                          participants, rows);
+    else
+        rows(0, static_cast<std::size_t>(height_), 0);
 }
 
 double

@@ -23,6 +23,8 @@
 
 namespace pce {
 
+class ThreadPool;
+
 /** Per-eye display description. */
 struct DisplayGeometry
 {
@@ -69,9 +71,13 @@ class EccentricityMap
     /**
      * Recompute the whole map for @p geom, reusing the existing
      * storage when the dimensions are unchanged (the allocation-free
-     * full-rebuild path of a re-fixating stream).
+     * full-rebuild path of a re-fixating stream). With a @p pool and
+     * @p participants > 1 the rows are split across participants;
+     * every pixel runs the same eccentricityDeg expression, so the
+     * map is bit-identical to the serial build.
      */
-    void rebuild(const DisplayGeometry &geom);
+    void rebuild(const DisplayGeometry &geom, ThreadPool *pool = nullptr,
+                 int participants = 1);
 
     int width() const { return width_; }
     int height() const { return height_; }

@@ -692,9 +692,11 @@ EncodeService::dispatchLoop(std::size_t shard)
             // Gaze streams: the eccentricity state persisted across
             // frames, so verify (and recover) it before it steers
             // this frame's foveal decisions. Recovery rebuilds the
-            // map exactly — the frame is still encoded and delivered.
+            // map exactly (on the encoder's pool) — the frame is still
+            // encoded and delivered.
             if (params_.hardenIntegrity && s.gaze != nullptr &&
-                !s.gaze->verifyAndRecoverState())
+                !s.gaze->verifyAndRecoverState(
+                    rt.encoder->pool(), rt.encoder->params().threads))
                 gazeRecovered = true;
             if (sl.hasGaze) {
                 saccade = rt.encoder->encodeFrameGazeInto(

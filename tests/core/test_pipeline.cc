@@ -350,5 +350,82 @@ TEST(Pipeline, EveryModelAndBackendIsLevelAndThreadInvariant)
         ASSERT_EQ(unsetenv("FOVE_SIMD"), 0);
 }
 
+TEST(Pipeline, FusedQuantizeMatchesStandalonePass)
+{
+    // The tile pass quantizes every row it writes, adjusted or
+    // bypassed, and the saccade path quantizes in its copy pass: the
+    // sRGB image must equal a standalone toSrgb8 of the linear one,
+    // byte for byte, for every model/backend, thread count, ragged
+    // edge tile and phase, and its buffer must stay pinned.
+    struct Shape
+    {
+        int w, h, tile;
+    };
+    for (const Shape sh : {Shape{61, 47, 4}, Shape{45, 31, 7}}) {
+        const ImageF frame =
+            renderScene(SceneId::Thai, {sh.w, sh.h, 0, 0.0, 0});
+        const ImageF next =
+            renderScene(SceneId::Thai, {sh.w, sh.h, 0, 0.5, 0});
+        DisplayGeometry g;
+        g.width = sh.w;
+        g.height = sh.h;
+        g.fixationX = sh.w * 0.3;
+        g.fixationY = sh.h * 0.6;
+        const EccentricityMap ecc(g);
+        for (const test::AdjustConfig &cfg : test::adjustConfigs()) {
+            for (const int threads : {1, 4}) {
+                SCOPED_TRACE(::testing::Message()
+                             << cfg.name << " " << sh.w << "x" << sh.h
+                             << " tile " << sh.tile << " threads "
+                             << threads);
+                PipelineParams params;
+                params.tileSize = sh.tile;
+                params.threads = threads;
+                params.extremaFn = cfg.extrema;
+                const PerceptualEncoder enc(*cfg.model, params);
+
+                EncodedFrame out;
+                enc.encodeFrameInto(frame, ecc, out);
+                EXPECT_GT(out.stats.fovealBypassTiles, 0u);
+                EXPECT_LT(out.stats.fovealBypassTiles,
+                          out.stats.totalTiles);
+                EXPECT_EQ(out.adjustedSrgb, toSrgb8(out.adjustedLinear));
+                const uint8_t *srgb = out.adjustedSrgb.data().data();
+
+                enc.encodeFrameInto(next, ecc, out);
+                EXPECT_EQ(out.adjustedSrgb, toSrgb8(out.adjustedLinear));
+                EXPECT_EQ(out.adjustedSrgb.data().data(), srgb);
+
+                // adjustFrameInto's own output matches too.
+                ImageF linear;
+                ImageU8 codes;
+                enc.adjustFrameInto(frame, ecc, linear, nullptr, &codes);
+                EXPECT_EQ(codes, toSrgb8(linear));
+
+                // Gaze path: land, jump across the display within one
+                // sample period (a saccade frame), land again.
+                g.fixationX = sh.w / 2.0;
+                g.fixationY = sh.h / 2.0;
+                GazeTrackedEccentricity gaze(g);
+                const GazeSample samples[] = {
+                    {0.0, sh.w / 2.0, sh.h / 2.0},
+                    {1.0 / 72.0, sh.w - 2.0, 1.0},
+                    {1.0, sh.w - 2.0, 1.0}};
+                const GazePhase phases[] = {GazePhase::Fixation,
+                                            GazePhase::Saccade,
+                                            GazePhase::Fixation};
+                for (int i = 0; i < 3; ++i) {
+                    EXPECT_EQ(enc.encodeFrameGazeInto(next, gaze,
+                                                      samples[i], out),
+                              phases[i]);
+                    EXPECT_EQ(out.adjustedSrgb,
+                              toSrgb8(out.adjustedLinear));
+                    EXPECT_EQ(out.adjustedSrgb.data().data(), srgb);
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace pce

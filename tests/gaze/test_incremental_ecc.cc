@@ -8,15 +8,19 @@
  * stay within the documented accumulated error bound everywhere else,
  * (c) cover the whole exact iso-eccentricity band so the encoder can
  * never falsely bypass a foveal tile, and (d) never reallocate its
- * storage (pointer pinning).
+ * storage (pointer pinning). Re-fixation fanned out to a ThreadPool
+ * must produce the same bytes and the same RefixStats as the serial
+ * update, for any participant count.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "gaze/incremental_ecc.hh"
 #include "image/image.hh"
 
@@ -377,6 +381,158 @@ TEST(IncrementalEcc, RebuildReusesStorageAndMatchesConstructor)
     for (int y = 0; y < map.height(); ++y)
         for (int x = 0; x < map.width(); ++x)
             ASSERT_EQ(map.at(x, y), fresh.at(x, y));
+}
+
+/** Same bytes, same size: the serial and pooled maps agree exactly. */
+void
+expectSameMap(const EccentricityMap &a, const EccentricityMap &b,
+              const char *what)
+{
+    ASSERT_EQ(a.width(), b.width()) << what;
+    ASSERT_EQ(a.height(), b.height()) << what;
+    EXPECT_EQ(a.fixationX(), b.fixationX()) << what;
+    EXPECT_EQ(a.fixationY(), b.fixationY()) << what;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          sizeof(double) *
+                              static_cast<std::size_t>(a.width()) *
+                              static_cast<std::size_t>(a.height())),
+              0)
+        << what;
+}
+
+void
+expectSameStats(const RefixStats &a, const RefixStats &b, int step)
+{
+    EXPECT_EQ(a.fullRebuild, b.fullRebuild) << "step " << step;
+    EXPECT_EQ(a.clamped, b.clamped) << "step " << step;
+    EXPECT_EQ(a.shiftedPixels, b.shiftedPixels) << "step " << step;
+    EXPECT_EQ(a.recomputedPixels, b.recomputedPixels) << "step " << step;
+    EXPECT_EQ(a.stepErrorBoundDeg, b.stepErrorBoundDeg)
+        << "step " << step;
+    EXPECT_EQ(a.accumulatedErrorBoundDeg, b.accumulatedErrorBoundDeg)
+        << "step " << step;
+    EXPECT_EQ(a.exactRect, b.exactRect) << "step " << step;
+}
+
+TEST(IncrementalEcc, PooledChainIsBitIdenticalToSerial)
+{
+    // Pool of 7 workers: participants up to 8, which exceeds every
+    // band's row count on the 5-row display below.
+    ThreadPool pool(7);
+    struct Display
+    {
+        int w, h;
+    };
+    for (const Display d : {Display{96, 72}, Display{37, 29},
+                            Display{40, 5}}) {
+        const DisplayGeometry geom =
+            geometry(d.w, d.h, d.w / 2.0, d.h / 2.0);
+        IncrementalEccParams params;
+        params.maxShiftPx = 16.0;
+        params.maxAccumulatedErrorDeg = 20.0;
+        params.exactBandDeg = 8.0;
+        for (int participants : {2, 3, 4, 8}) {
+            SCOPED_TRACE(::testing::Message()
+                         << d.w << "x" << d.h << " participants "
+                         << participants);
+            IncrementalEccentricity serial(geom, params);
+            IncrementalEccentricity pooled(geom, params);
+            EccentricityMap serial_map(geom);
+            EccentricityMap pooled_map(geom);
+            const double *storage = pooled_map.data();
+
+            // Sub-pixel, multi-tile, the exact threshold edge, an
+            // off-screen clamp, jitter until the accumulation cap
+            // forces a rebuild, and a fallback-sized jump.
+            std::vector<std::pair<double, double>> deltas = {
+                {0.3, -0.2}, {9.0, 6.0}, {-7.0, -4.0}, {16.0, 0.0},
+                {-1e6, 3.0}, {2.0, 1e6}, {-20.0, 10.0}};
+            for (int i = 0; i < 24; ++i)
+                deltas.emplace_back(i % 2 == 0 ? 3.0 : -3.0,
+                                    i % 3 == 0 ? -2.0 : 1.0);
+            bool saw_rebuild = false, saw_incremental = false;
+            for (std::size_t i = 0; i < deltas.size(); ++i) {
+                const double fx = serial_map.fixationX() + deltas[i].first;
+                const double fy =
+                    serial_map.fixationY() + deltas[i].second;
+                RefixStats st_serial, st_pooled;
+                serial.refixate(serial_map, fx, fy, &st_serial);
+                pooled.refixate(pooled_map, fx, fy, &st_pooled, &pool,
+                                participants);
+                expectSameStats(st_serial, st_pooled,
+                                static_cast<int>(i));
+                expectSameMap(serial_map, pooled_map, "refixate");
+                ASSERT_EQ(pooled_map.data(), storage) << "step " << i;
+                (st_pooled.fullRebuild ? saw_rebuild
+                                       : saw_incremental) = true;
+            }
+            EXPECT_TRUE(saw_rebuild);
+            EXPECT_TRUE(saw_incremental);
+
+            // The recovery primitive, pooled.
+            serial.rebuildAt(serial_map, 3.0, d.h - 2.0);
+            pooled.rebuildAt(pooled_map, 3.0, d.h - 2.0, &pool,
+                             participants);
+            expectSameMap(serial_map, pooled_map, "rebuildAt");
+            EXPECT_EQ(pooled_map.data(), storage);
+        }
+    }
+}
+
+TEST(IncrementalEcc, PooledGazeUpdateAndRecoveryMatchSerial)
+{
+    ThreadPool pool(3);
+    const DisplayGeometry geom = geometry(80, 60, 40.0, 30.0);
+    GazeTrackedEccentricity serial(geom);
+    GazeTrackedEccentricity pooled(geom);
+    serial.sealState();
+    pooled.sealState();
+    // 1 s apart: fixation; 1/72 s across the display: a saccade.
+    const GazeSample samples[] = {{1.0, 41.0, 30.5}, {2.0, 45.0, 28.0},
+                                  {2.0 + 1.0 / 72.0, 5.0, 55.0},
+                                  {3.0, 5.0, 55.0},   {4.0, 6.5, 53.0}};
+    int step = 0;
+    for (const GazeSample &s : samples) {
+        RefixStats st_serial, st_pooled;
+        EXPECT_EQ(serial.update(s, &st_serial),
+                  pooled.update(s, &st_pooled, &pool, 4));
+        expectSameStats(st_serial, st_pooled, step++);
+        expectSameMap(serial.map(), pooled.map(), "update");
+    }
+    EXPECT_EQ(pooled.fullRebuilds(), serial.fullRebuilds());
+    EXPECT_EQ(pooled.deferredUpdates(), 1u);
+
+    serial.mutableMap().data()[123] += 1.0;
+    pooled.mutableMap().data()[123] += 1.0;
+    EXPECT_FALSE(serial.verifyAndRecoverState());
+    EXPECT_FALSE(pooled.verifyAndRecoverState(&pool, 4));
+    expectSameMap(serial.map(), pooled.map(), "recovery");
+    EXPECT_TRUE(pooled.verifyState());
+}
+
+TEST(IncrementalEcc, PooledRebuildMatchesSerialOnEveryShape)
+{
+    ThreadPool pool(3);
+    struct Shape
+    {
+        int w, h;
+    };
+    for (const Shape sh : {Shape{1, 1}, Shape{1, 33}, Shape{33, 1},
+                           Shape{17, 3}, Shape{80, 61}}) {
+        DisplayGeometry g = geometry(sh.w, sh.h, sh.w * 0.25,
+                                     sh.h * 0.75);
+        const EccentricityMap serial(g);
+        for (int participants : {2, 4, 64}) {
+            EccentricityMap pooled(geometry(sh.w, sh.h, 0.0, 0.0));
+            const double *storage = pooled.data();
+            pooled.rebuild(g, &pool, participants);
+            EXPECT_EQ(pooled.data(), storage);
+            SCOPED_TRACE(::testing::Message()
+                         << sh.w << "x" << sh.h << " participants "
+                         << participants);
+            expectSameMap(serial, pooled, "rebuild");
+        }
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * path records nothing, RAII spans nest and order parent-first,
  * wraparound drops are counted rather than hidden, cross-thread
  * collect() merges in begin-time order, and ambient TagScope tags
- * stick to nested spans. The whole suite runs under ThreadSanitizer
+ * stick to nested spans, and the rings of exited threads are freed at
+ * the next reset. The whole suite runs under ThreadSanitizer
  * in scripts/check.sh — the cross-thread tests double as the
  * data-race proof for the per-recorder mutex design.
  */
@@ -234,6 +235,44 @@ TEST_F(TraceTest, ExplicitBeginStitchesSpansExactly)
         Tracer::instance().collect();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].endNs, events[1].beginNs);
+}
+
+TEST_F(TraceTest, ExitedThreadRingsAreFreedAtReset)
+{
+    // A process that keeps spawning short-lived recording threads
+    // (one service per repeat) must not keep one ring per thread it
+    // ever ran: an exited thread's events stay collectable until the
+    // next reset(), which then frees its ring.
+    setTraceEnabled(true);
+    const std::size_t live = Tracer::instance().threadCount();
+    constexpr int kThreads = 8;
+    constexpr int kSpansPerThread = 5;
+    for (int round = 0; round < 20; ++round) {
+        std::vector<std::thread> workers;
+        for (int t = 0; t < kThreads; ++t)
+            workers.emplace_back([t] {
+                Tracer::instance().nameThread("short" +
+                                              std::to_string(t));
+                for (int i = 0; i < kSpansPerThread; ++i)
+                    TraceSpan span("short/work");
+            });
+        for (std::thread &w : workers)
+            w.join();
+        EXPECT_EQ(Tracer::instance().collect().size(),
+                  static_cast<std::size_t>(kThreads * kSpansPerThread))
+            << "round " << round;
+        EXPECT_EQ(Tracer::instance().threadNames().size(),
+                  static_cast<std::size_t>(kThreads))
+            << "round " << round;
+        EXPECT_EQ(Tracer::instance().threadCount(), live + kThreads)
+            << "round " << round;
+        Tracer::instance().reset();
+        EXPECT_EQ(Tracer::instance().threadCount(), live)
+            << "round " << round;
+    }
+    // The calling thread keeps its recorder across resets.
+    traceInstant("still/here");
+    EXPECT_EQ(Tracer::instance().recordedEvents(), 1u);
 }
 
 } // namespace
