@@ -31,7 +31,12 @@ namespace detail {
 /**
  * The calling thread's recorder. Its destructor runs at thread exit
  * and retires the recorder: the events stay collectable until the
- * next Tracer::reset(), which frees the ring.
+ * next Tracer::reset(), which frees the ring. The slot forgets the
+ * recorder once retired, so nothing on the exiting thread can write
+ * into a ring that another thread's reset() has freed.
+ *
+ * Lifetime rule: a recording thread must exit before static
+ * destruction begins, because retiring touches the Tracer singleton.
  */
 struct ThreadRecorderSlot
 {
@@ -41,6 +46,7 @@ struct ThreadRecorderSlot
     {
         if (recorder != nullptr)
             Tracer::instance().retire(*recorder);
+        recorder = nullptr;
     }
 };
 

@@ -360,7 +360,9 @@ struct ShardStats
     int participants = 1;
     /** Pool participation accounting (ThreadPool::dispatchCalls /
      *  participantSum for this shard's pool slice): how much
-     *  parallelism the shard's encodes actually used. */
+     *  parallelism the shard's encodes actually used. Every
+     *  parallelFor counts: tile adjust, BD encode, gaze re-fixation
+     *  and the saccade frame's row pass. */
     std::uint64_t poolDispatches = 0;
     double poolMeanParticipants = 0.0;
 };
